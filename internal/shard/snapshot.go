@@ -413,6 +413,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeTracker serializes the candidate tracker as a count and then
+// (key, logical score) entries in the tracker's own order, which is a
+// function of the offer history alone: the same stream writes the same
+// bytes, and readTracker rebuilds the same order.
 func writeTracker(w io.Writer, t *topk.Tracker) error {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(t.Len()))

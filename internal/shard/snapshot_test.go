@@ -1,13 +1,16 @@
 package shard_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/countsketch"
 	"repro/internal/dataset"
 	"repro/internal/shard"
+	"repro/internal/stream"
 )
 
 // TestSnapshotRestoreRoundTrip checkpoints a live manager mid-stream,
@@ -185,5 +188,113 @@ func TestRestoreErrors(t *testing.T) {
 	}
 	if _, err := shard.Restore(dir); err == nil {
 		t.Fatal("restore of corrupt manifest should fail")
+	}
+}
+
+// manifestCRCs reads the per-shard blob checksums from a committed
+// manifest.
+func manifestCRCs(t *testing.T, dir string) []uint32 {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Files []struct {
+			CRC32C uint32 `json:"crc32c"`
+		} `json:"files"`
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]uint32, len(man.Files))
+	for i, f := range man.Files {
+		out[i] = f.CRC32C
+	}
+	return out
+}
+
+// TestSnapshotShardFilesDeterministic requires reproducible shard
+// files: two managers fed one stream, and a restore-then-continue
+// against an uninterrupted run, must write blobs with equal CRC32C.
+// The candidate tracker is small enough to prune many times, so the
+// check covers the serialized tracker's entry order and prune cuts.
+// Both runs ingest the stream in the same two calls: the warm-up
+// prefix is the first call's samples, so the split is part of the
+// stream's identity.
+func TestSnapshotShardFilesDeterministic(t *testing.T) {
+	const (
+		d      = 50
+		n      = 1200
+		shards = 2
+		cut    = 500
+	)
+	samples := samplesOf(dataset.Simulation(d, n, 0.015, 41))
+	cfg := shard.Config{
+		Dim: d, Shards: shards, Warmup: 100, Standardize: true, Alpha: 0.01,
+		TrackCandidates: 48,
+		Engine: shard.EngineSpec{Kind: shard.KindASCS,
+			Sketch: countsketch.Config{Tables: 5, Range: 2048, Seed: 23}, T: n},
+	}
+	ingest := func(m *shard.Manager, part []stream.Sample) {
+		t.Helper()
+		if _, _, err := m.Ingest(part); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func(m *shard.Manager, dir string) []uint32 {
+		t.Helper()
+		if err := m.Snapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		return manifestCRCs(t, dir)
+	}
+	run := func() *shard.Manager {
+		t.Helper()
+		m, err := shard.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		ingest(m, samples[:cut])
+		return m
+	}
+
+	a, b := run(), run()
+	cutDir := t.TempDir()
+	atCut := snapshot(a, cutDir)
+	if got := snapshot(b, t.TempDir()); !slices.Equal(got, atCut) {
+		t.Fatalf("same stream, different shard files at the cut: CRC32C %08x vs %08x", got, atCut)
+	}
+	ingest(a, samples[cut:])
+	ingest(b, samples[cut:])
+	want := snapshot(a, t.TempDir())
+	if len(want) != shards {
+		t.Fatalf("manifest lists %d files, want %d", len(want), shards)
+	}
+	if got := snapshot(b, t.TempDir()); !slices.Equal(got, want) {
+		t.Fatalf("same stream, different shard files: CRC32C %08x vs %08x", got, want)
+	}
+	st, err := a.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range st.PerShard {
+		if s.Health.TrackerPruned == 0 {
+			t.Fatalf("shard %d tracker never pruned; the test would not cover prune order", i)
+		}
+	}
+
+	restored, err := shard.Restore(cutDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	ingest(restored, samples[cut:])
+	if got := snapshot(restored, t.TempDir()); !slices.Equal(got, want) {
+		t.Fatalf("restore+continue differs from the uninterrupted run: CRC32C %08x vs %08x", got, want)
 	}
 }

@@ -137,9 +137,11 @@ func TestTrackerKeys(t *testing.T) {
 	tr := NewTracker(4)
 	tr.Offer(7, 1)
 	tr.Offer(9, 2)
-	keys := tr.Keys()
-	if len(keys) != 2 {
-		t.Errorf("Keys = %v", keys)
+	var keys []uint64
+	tr.Each(func(k uint64, _ float64) { keys = append(keys, k) })
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	if len(keys) != 2 || keys[0] != 7 || keys[1] != 9 {
+		t.Errorf("tracked keys = %v, want [7 9]", keys)
 	}
 }
 
