@@ -499,6 +499,89 @@ func TestRowWaveOfferZeroAllocs(t *testing.T) {
 	}
 }
 
+// servedRowCS builds the CS engine of the served dense shape — K = 5,
+// range 200 000, the shard worker's engine — and the OfferRow arguments
+// of `samples` dense d-dimensional samples: per sample and row i, the
+// partners i+1..d−1 and the products x_i·x_j a shard worker hands over.
+func servedRowCS(tb testing.TB, d, samples int) (eng *countsketch.MeanSketch, bases []uint64, partners [][]uint64, xs [][][]float64) {
+	tb.Helper()
+	eng, err := countsketch.NewMeanSketch(countsketch.Config{Tables: 5, Range: 200_000, Seed: 1}, 1<<30)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	bases = make([]uint64, d-1)
+	partners = make([][]uint64, d-1)
+	for i := range bases {
+		bases[i] = uint64(pairs.RowBase(i, d))
+		for j := i + 1; j < d; j++ {
+			partners[i] = append(partners[i], uint64(j))
+		}
+	}
+	xs = make([][][]float64, samples)
+	x := make([]float64, d)
+	for s := range xs {
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		xs[s] = make([][]float64, d-1)
+		for i := range xs[s] {
+			for j := i + 1; j < d; j++ {
+				xs[s][i] = append(xs[s][i], x[i]*x[j])
+			}
+		}
+	}
+	return eng, bases, partners, xs
+}
+
+// BenchmarkServedRowCS is the shard worker's engine call on the dense
+// CS workload: d = 160 dense rows through OfferRow, each pair returning
+// its post-add estimate for the tracker, K = 5, range 200 000. ns/op is
+// ns per offered pair.
+func BenchmarkServedRowCS(b *testing.B) {
+	const d = 160
+	eng, bases, partners, xs := servedRowCS(b, d, 16)
+	ests := make([]float64, d-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, s := 0, 0; done < b.N; s++ {
+		eng.BeginStep(s + 1)
+		sample := xs[s%len(xs)]
+		for i, base := range bases {
+			eng.OfferRow(base, partners[i], sample[i], ests[:len(partners[i])])
+		}
+		done += d * (d - 1) / 2
+	}
+}
+
+// TestServedRowCSZeroAllocs pins the served CS estimate path at no
+// allocation: the fused add-and-estimate step on its own, and OfferRow
+// with estimates in the served shape once the wave scratch exists.
+func TestServedRowCSZeroAllocs(t *testing.T) {
+	const d = 160
+	eng, bases, partners, xs := servedRowCS(t, d, 1)
+	sk := eng.Sketch()
+	var slots [countsketch.MaxTables]countsketch.Slot
+	sk.Locate(12345, &slots)
+	sink := 0.0
+	if avg := testing.AllocsPerRun(200, func() {
+		sink += sk.AddSlotsEstimate(&slots, 0.5)
+	}); avg != 0 {
+		t.Fatalf("AddSlotsEstimate allocates %.1f per call", avg)
+	}
+	_ = sink
+	ests := make([]float64, d-1)
+	offer := func() {
+		for i, base := range bases {
+			eng.OfferRow(base, partners[i], xs[0][i], ests[:len(partners[i])])
+		}
+	}
+	offer() // builds the lazy wave scratch
+	if avg := testing.AllocsPerRun(20, offer); avg != 0 {
+		t.Fatalf("served-shape OfferRow with estimates allocates %.1f per sample", avg)
+	}
+}
+
 // TestShardIngestSteadyStateAllocs guards the serving-layer scratch
 // discipline end to end: after warm-up, Manager.Ingest (pair
 // enumeration, staging buffers, channel ship, worker apply through the

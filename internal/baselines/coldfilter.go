@@ -170,8 +170,7 @@ func (c *ColdFilter) offerEstimateWith(key uint64, x float64, s1 *[countsketch.M
 		e2 = c.l2.Estimate(key)
 	} else {
 		c.l2.Locate(key, &c.s2)
-		c.l2.AddSlots(&c.s2, v)
-		e2 = c.l2.EstimateSlots(&c.s2)
+		e2 = c.l2.AddSlotsEstimate(&c.s2, v)
 	}
 	// Same clamped retrieval as Estimate (see that method's comment).
 	if math.Abs(e1) > c.thresh {

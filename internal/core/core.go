@@ -215,8 +215,7 @@ func (e *Engine) offerEstimateSlots(slots *[countsketch.MaxTables]countsketch.Sl
 	if !e.sampling {
 		e.explorationInserts++
 		e.admittedMass += math.Abs(x)
-		e.sk.AddSlots(slots, x*e.invT)
-		return e.sk.EstimateSlots(slots), true
+		return e.sk.AddSlotsEstimate(slots, x*e.invT), true
 	}
 	e.offeredSampling++
 	est, raw := e.sk.EstimateSlotsWithRaw(slots)

@@ -145,12 +145,21 @@ func (s *Sketch) Add(key uint64, v float64) {
 
 // Estimate returns the median-of-K estimate for key.
 func (s *Sketch) Estimate(key uint64) float64 {
+	if s.cfg.Tables == 5 {
+		return median5(s.signedCell(0, key), s.signedCell(1, key), s.signedCell(2, key),
+			s.signedCell(3, key), s.signedCell(4, key)) * s.scale
+	}
 	var buf [MaxTables]float64
 	k := s.cfg.Tables
 	for e := 0; e < k; e++ {
-		buf[e] = s.w[e*s.rng+s.h.Bucket(e, key)] * s.h.Sign(e, key)
+		buf[e] = s.signedCell(e, key)
 	}
 	return medianInPlace(buf[:k]) * s.scale
+}
+
+// signedCell returns table e's estimate of key: its cell times its sign.
+func (s *Sketch) signedCell(e int, key uint64) float64 {
+	return s.w[e*s.rng+s.h.Bucket(e, key)] * s.h.Sign(e, key)
 }
 
 // Slot is one precomputed (table cell, sign) location of a key: Off is
@@ -174,12 +183,7 @@ func (s *Sketch) Locate(key uint64, slots *[MaxTables]Slot) {
 // the same cells are read, multiplied by the same signs, and reduced by
 // the same median.
 func (s *Sketch) EstimateSlots(slots *[MaxTables]Slot) float64 {
-	var buf [MaxTables]float64
-	k := s.cfg.Tables
-	for e := 0; e < k; e++ {
-		buf[e] = s.w[slots[e].Off] * slots[e].Sign
-	}
-	return medianInPlace(buf[:k]) * s.scale
+	return s.rawMedian(slots) * s.scale
 }
 
 // EstimateSlotsWithRaw is EstimateSlots returning additionally the
@@ -189,13 +193,22 @@ func (s *Sketch) EstimateSlots(slots *[MaxTables]Slot) float64 {
 // odd-K post-add estimate exact — no table re-read — even while a
 // decay scale is active.
 func (s *Sketch) EstimateSlotsWithRaw(slots *[MaxTables]Slot) (est, raw float64) {
-	var buf [MaxTables]float64
+	raw = s.rawMedian(slots)
+	return raw * s.scale, raw
+}
+
+// rawMedian is the pre-scale median of the K signed cells named by
+// slots: median5 at K = 5, the insertion sort otherwise.
+func (s *Sketch) rawMedian(slots *[MaxTables]Slot) float64 {
 	k := s.cfg.Tables
+	if k == 5 {
+		return median5Slots(s.w, slots[:5])
+	}
+	var buf [MaxTables]float64
 	for e := 0; e < k; e++ {
 		buf[e] = s.w[slots[e].Off] * slots[e].Sign
 	}
-	raw = medianInPlace(buf[:k])
-	return raw * s.scale, raw
+	return medianInPlace(buf[:k])
 }
 
 // AddSlots folds v into the cells named by precomputed slots. It is
@@ -212,38 +225,55 @@ func (s *Sketch) AddSlots(slots *[MaxTables]Slot, v float64) {
 	}
 }
 
-// AddSlotsWithEstimate is AddSlots(slots, v) followed by
-// EstimateSlots(slots), given the pre-add estimate preEst — the
-// admitted-offer step of the fused ingest path, where the gate already
-// computed preEst and the caller also wants the post-add estimate.
+// AddSlotsEstimate is AddSlots(slots, v) followed by
+// EstimateSlots(slots) in one pass, bit-identical to the two calls —
+// the post-add estimate every tracked insert without a gate asks for.
 //
-// For odd K it returns preEst + v without re-reading the table, and the
-// result is bit-identical to a fresh EstimateSlots: adding v moves every
-// table estimate from w·s to round(w + s·v)·s = round(w·s + v) (s = ±1
-// is exact and IEEE rounding is sign-symmetric), a monotone shift that
-// preserves the order of the K estimates, so the median element is the
-// same table's, now valued round(preEst + v) — exactly preEst + v
-// computed in one float64 addition. For even K the median averages the
-// two middle order statistics, the shift does not commute with that
-// average's rounding, and the estimate is recomputed from the table.
-// Under an active decay scale (≠ 1) the shift argument no longer holds
-// exactly — the insert is divided by the scale and the read multiplied
-// back, two extra roundings — so the estimate is recomputed then too.
-func (s *Sketch) AddSlotsWithEstimate(slots *[MaxTables]Slot, v, preEst float64) float64 {
-	s.AddSlots(slots, v)
-	if s.cfg.Tables%2 == 1 && s.scale == 1 {
-		return preEst + v
+// At K = 5 it keeps the five new cell values in registers as it stores
+// them and reduces their signed values with median5, so the cells are
+// not re-read and no scratch buffer is zeroed. Holding the values is
+// exact because the K slots of one key never share a cell: slot e's
+// offset lies in table e's row, [e·R, (e+1)·R). The reduction sees the
+// same products new·sign that a fresh EstimateSlots reads, and median5
+// returns the insertion sort's bits. Any other K runs the two calls.
+func (s *Sketch) AddSlotsEstimate(slots *[MaxTables]Slot, v float64) float64 {
+	if s.cfg.Tables != 5 {
+		s.AddSlots(slots, v)
+		return s.EstimateSlots(slots)
 	}
-	return s.EstimateSlots(slots)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		panic(fmt.Sprintf("countsketch: non-finite update %v", v))
+	}
+	v *= s.invScale
+	w, sl := s.w, slots[:5]
+	n0 := w[sl[0].Off] + sl[0].Sign*v
+	w[sl[0].Off] = n0
+	n1 := w[sl[1].Off] + sl[1].Sign*v
+	w[sl[1].Off] = n1
+	n2 := w[sl[2].Off] + sl[2].Sign*v
+	w[sl[2].Off] = n2
+	n3 := w[sl[3].Off] + sl[3].Sign*v
+	w[sl[3].Off] = n3
+	n4 := w[sl[4].Off] + sl[4].Sign*v
+	w[sl[4].Off] = n4
+	return median5(n0*sl[0].Sign, n1*sl[1].Sign, n2*sl[2].Sign, n3*sl[3].Sign, n4*sl[4].Sign) * s.scale
 }
 
-// AddSlotsWithEstimateRaw is the decay-scale-aware variant of
-// AddSlotsWithEstimate: the caller supplies the pre-add *raw* median
-// (from EstimateSlotsWithRaw) instead of the scaled estimate. The
-// insert shifts every raw table estimate by round(v·invScale) — the
-// exact value AddSlots folds in — so for odd K the post-add estimate
-// is (raw + v·invScale)·scale, bit-identical to a fresh EstimateSlots
-// by the same monotone-shift argument, at any scale. Even K recomputes.
+// AddSlotsWithEstimateRaw is AddSlots(slots, v) followed by
+// EstimateSlots(slots), given the pre-add *raw* median preRaw (from
+// EstimateSlotsWithRaw) — the admitted-offer step of the gated ingest
+// path, where the gate already read the pre-add median.
+//
+// For odd K it returns (preRaw + v·invScale)·scale without re-reading
+// the table, bit-identical to a fresh EstimateSlots: the insert adds
+// u = round(v·invScale), the exact value AddSlots folds in, and moves
+// every raw table estimate from w·s to round(w + s·u)·s = round(w·s + u)
+// (s = ±1 is exact and IEEE rounding is sign-symmetric) — a monotone
+// shift that preserves the order of the K estimates, so the median
+// element is the same table's, now valued round(preRaw + u). For even K
+// the median averages the two middle order statistics, the shift does
+// not commute with that average's rounding, and the estimate is
+// recomputed from the table.
 func (s *Sketch) AddSlotsWithEstimateRaw(slots *[MaxTables]Slot, v, preRaw float64) float64 {
 	s.AddSlots(slots, v)
 	if s.cfg.Tables%2 == 1 {
@@ -548,6 +578,37 @@ func (s *Sketch) L2Norm() float64 {
 		sum += v * v
 	}
 	return math.Sqrt(sum) * s.scale
+}
+
+// median5Slots is median5 over the signed cells of one key's five
+// slots (sl has length 5).
+func median5Slots(w []float64, sl []Slot) float64 {
+	sl = sl[:5]
+	return median5(w[sl[0].Off]*sl[0].Sign, w[sl[1].Off]*sl[1].Sign, w[sl[2].Off]*sl[2].Sign,
+		w[sl[3].Off]*sl[3].Sign, w[sl[4].Off]*sl[4].Sign)
+}
+
+// median5 returns the median of five values with the exact bits
+// medianInPlace returns for them, without a sort's data-dependent
+// branches. The min/max network reduces a..d to their middle two order
+// statistics f and g (the larger pair minimum and the smaller pair
+// maximum), then takes the median of {e, f, g}: the median by value.
+//
+// The insertion sort places equal values in input order, so its
+// median's bits depend on more than the value only when the value is
+// ±0, and it has no order at all once a NaN is present. The network's
+// min and max propagate NaN, so both cases show as a zero or NaN
+// result; those defer to the sort itself, and every other result is a
+// nonzero number whose bits its value fixes.
+func median5(a, b, c, d, e float64) float64 {
+	f := max(min(a, b), min(c, d))
+	g := min(max(a, b), max(c, d))
+	m := max(min(e, f), min(max(e, f), g))
+	if m == 0 || m != m {
+		xs := [5]float64{a, b, c, d, e}
+		return medianInPlace(xs[:])
+	}
+	return m
 }
 
 // medianInPlace sorts the small slice xs and returns its median.

@@ -130,8 +130,7 @@ func (m *MeanSketch) OfferEstimate(key uint64, x float64) (float64, bool) {
 	m.inserts++
 	m.mass += math.Abs(x)
 	m.sk.Locate(key, &m.slots)
-	m.sk.AddSlots(&m.slots, x*m.invT)
-	return m.sk.EstimateSlots(&m.slots), true
+	return m.sk.AddSlotsEstimate(&m.slots, x*m.invT), true
 }
 
 // OfferPairs implements the batch fast path for one time step via the
@@ -180,14 +179,13 @@ func (m *MeanSketch) offerWave(w *Wave, keys []uint64, xs []float64, ests []floa
 	}
 	// The scalar contract recomputes the post-add estimate from the
 	// table (not the median shift), so the estimating path replays
-	// the per-pair order on the touched cells.
+	// the per-pair order on the touched cells, each step one fused
+	// add-and-estimate.
 	m.waveFbShape++
 	for i := 0; i < n; i++ {
-		sl := w.At(i)
 		m.inserts++
 		m.mass += math.Abs(xs[i])
-		m.sk.AddSlots(sl, xs[i]*m.invT)
-		ests[i] = m.sk.EstimateSlots(sl)
+		ests[i] = m.sk.AddSlotsEstimate(w.At(i), xs[i]*m.invT)
 	}
 }
 
@@ -242,9 +240,10 @@ func (m *MeanSketch) offerPairsScalar(keys []uint64, xs []float64, ests []float6
 		m.inserts++
 		m.mass += math.Abs(xs[i])
 		m.sk.Locate(key, &m.slots)
-		m.sk.AddSlots(&m.slots, xs[i]*m.invT)
 		if ests != nil {
-			ests[i] = m.sk.EstimateSlots(&m.slots)
+			ests[i] = m.sk.AddSlotsEstimate(&m.slots, xs[i]*m.invT)
+		} else {
+			m.sk.AddSlots(&m.slots, xs[i]*m.invT)
 		}
 	}
 }

@@ -309,9 +309,17 @@ func (s *Sketch) TouchSlots(slots []Slot) float64 {
 // hold len(ests)·K slots. Each member's estimate is bit-identical to
 // EstimateSlotsWithRaw through its slots.
 func (s *Sketch) EstimateSlotsBatch(slots []Slot, ests, raws []float64) {
-	var buf [MaxTables]float64
 	k := s.cfg.Tables
 	w := s.w
+	if k == 5 {
+		for i := range ests {
+			raw := median5Slots(w, slots[5*i:5*i+5])
+			raws[i] = raw
+			ests[i] = raw * s.scale
+		}
+		return
+	}
+	var buf [MaxTables]float64
 	for i := range ests {
 		base := i * k
 		for e := 0; e < k; e++ {

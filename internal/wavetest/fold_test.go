@@ -188,7 +188,7 @@ func TestFoldAccuracyDegradesGracefully(t *testing.T) {
 // estimates must track the twin's within the fold's collision noise,
 // never NaN/Inf, and its serialized state must restore cleanly.
 func runFoldDifferential(t *testing.T, seed uint64, kind, levels, n int) {
-	kind = kind % 4
+	kind = fuzzKind(kind)
 	if n < 64 {
 		n = 64
 	}

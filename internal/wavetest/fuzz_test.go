@@ -29,31 +29,53 @@ type engine interface {
 
 const fuzzT = 1 << 12
 
-// buildEngine constructs engine kind ∈ [0,4) with decay mode lambda
-// (0 = fixed horizon). Shapes are small so fuzzing covers many streams
-// and collisions are frequent (exercising the conflict screen).
+// Engine families of the harness kinds.
+const (
+	familyCS = iota
+	familyASCS
+	familyASketch
+	familyColdFilter
+)
+
+// kinds maps a harness engine kind to its family and K. Kinds 0–3 are
+// CS, ASCS, ASketch and Cold Filter at the paper's K = 5; kinds 4–9
+// rerun CS and ASCS at K ∈ {3, 4, 7}, so the fused K = 5 estimate
+// kernel and the generic path both sit under every differential that
+// ranges over numKinds.
+var kinds = [...]struct{ family, tables int }{
+	{familyCS, 5}, {familyASCS, 5}, {familyASketch, 5}, {familyColdFilter, 5},
+	{familyCS, 3}, {familyCS, 4}, {familyCS, 7},
+	{familyASCS, 3}, {familyASCS, 4}, {familyASCS, 7},
+}
+
+const numKinds = len(kinds)
+
+// buildEngine constructs engine kind ∈ [0,numKinds) with decay mode
+// lambda (0 = fixed horizon). Shapes are small so fuzzing covers many
+// streams and collisions are frequent (exercising the conflict screen).
 func buildEngine(t testing.TB, kind int, lambda float64) engine {
 	t.Helper()
-	cfg := countsketch.Config{Tables: 5, Range: 256, Seed: 17}
+	spec := kinds[kind]
+	cfg := countsketch.Config{Tables: spec.tables, Range: 256, Seed: 17}
 	var (
 		e   engine
 		err error
 	)
-	switch kind {
-	case 0:
+	switch spec.family {
+	case familyCS:
 		if lambda == 0 {
 			e, err = countsketch.NewMeanSketch(cfg, fuzzT)
 		} else {
 			e, err = countsketch.NewMeanSketchDecayed(cfg, fuzzT, lambda)
 		}
-	case 1:
+	case familyASCS:
 		hp := core.Hyperparams{T0: 3, Theta: 0.05, Tau0: 1e-6, T: fuzzT}
 		if lambda == 0 {
 			e, err = core.NewEngine(cfg, hp, true)
 		} else {
 			e, err = core.NewEngineDecayed(cfg, hp, true, lambda)
 		}
-	case 2:
+	case familyASketch:
 		if lambda == 0 {
 			e, err = baselines.NewASketch(cfg, fuzzT, 5)
 		} else {
@@ -77,7 +99,7 @@ func buildEngine(t testing.TB, kind int, lambda float64) engine {
 // a wave-grouped engine and its scalar twin, comparing per-offer
 // estimates and final serialized state bit for bit.
 func runDifferential(t *testing.T, seed uint64, kind, group int, lambda float64, n int) {
-	kind = kind % 4
+	kind = fuzzKind(kind)
 	if group < 2 {
 		group = 2
 	}
@@ -163,11 +185,21 @@ func FuzzWaveVsScalar(f *testing.F) {
 	})
 }
 
+// fuzzKind folds a fuzzed engine kind (any int, negatives included)
+// into [0, numKinds).
+func fuzzKind(kind int) int {
+	kind %= numKinds
+	if kind < 0 {
+		kind += numKinds
+	}
+	return kind
+}
+
 // TestWaveVsScalarSeeded replays a seeded grid of the fuzz cases in
 // every ordinary `go test` run (and under -race in CI), so the
 // differential coverage does not depend on anyone running the fuzzer.
 func TestWaveVsScalarSeeded(t *testing.T) {
-	for kind := 0; kind < 4; kind++ {
+	for kind := 0; kind < numKinds; kind++ {
 		for _, lambda := range []float64{0, 1, 0.999} {
 			for _, g := range []int{2, 32} {
 				runDifferential(t, uint64(1000+kind), kind, g, lambda, 1500)

@@ -25,12 +25,12 @@ func restoreEngine(t *testing.T, kind int, data []byte) engine {
 		e   engine
 		err error
 	)
-	switch kind % 4 {
-	case 0:
+	switch kinds[kind].family {
+	case familyCS:
 		e, err = countsketch.ReadMeanSketchFrom(r)
-	case 1:
+	case familyASCS:
 		e, err = core.ReadEngineFrom(r)
-	case 2:
+	case familyASketch:
 		e, err = baselines.ReadASketchFrom(r)
 	default:
 		e, err = baselines.ReadColdFilterFrom(r)
@@ -59,7 +59,7 @@ func compareStates(t *testing.T, label string, a, b engine) {
 // one engine and OfferPairs (keys materialized as rowBase+partner, with
 // the same wrapping-add semantics) on its twin.
 func runRowDifferential(t *testing.T, seed uint64, kind, group int, lambda float64, rows int) {
-	kind = kind % 4
+	kind = fuzzKind(kind)
 	if group < 1 {
 		group = 1
 	}
@@ -127,7 +127,7 @@ func runRowDifferential(t *testing.T, seed uint64, kind, group int, lambda float
 // single OfferPairs call on the twin, so wave-group packing across row
 // boundaries is identical by construction and must stay bit-identical.
 func runRowsDifferential(t *testing.T, seed uint64, kind, group int, lambda float64, samples int) {
-	kind = kind % 4
+	kind = fuzzKind(kind)
 	if group < 1 {
 		group = 1
 	}
@@ -212,7 +212,7 @@ func FuzzRowVsPairs(f *testing.F) {
 // TestRowVsPairsSeeded replays a seeded grid in every ordinary test run
 // so row-path coverage does not depend on the fuzzer.
 func TestRowVsPairsSeeded(t *testing.T) {
-	for kind := 0; kind < 4; kind++ {
+	for kind := 0; kind < numKinds; kind++ {
 		for _, lambda := range []float64{0, 1, 0.999, 0.95} {
 			for _, g := range []int{1, 2, 32} {
 				runRowDifferential(t, uint64(2000+kind), kind, g, lambda, 200)
@@ -227,7 +227,7 @@ func TestRowVsPairsSeeded(t *testing.T) {
 // engine must lazily rebuild its wave scratch and stay bit-identical to
 // an uninterrupted twin fed through OfferPairs.
 func TestRowOffererRestored(t *testing.T) {
-	for kind := 0; kind < 4; kind++ {
+	for kind := 0; kind < numKinds; kind++ {
 		for _, lambda := range []float64{0, 0.999} {
 			pair := buildEngine(t, kind, lambda)
 			row := buildEngine(t, kind, lambda)
