@@ -157,8 +157,8 @@ func (s *warmupProbe) Offer(key uint64, x float64) {
 
 // Warmup runs a vanilla CS over the first warmupN samples of src (§8.1:
 // "we can spend some samples to explore the distribution of μ").
-// maxSeen caps the census memory (default 5M keys); beyond it the census
-// degrades gracefully to a uniform subsample.
+// maxSeen bounds the census (default 5M keys) but is not allocated up
+// front; beyond it the census degrades gracefully to a uniform subsample.
 func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, mode Mode, maxSeen int, seed int64) (WarmupResult, error) {
 	if warmupN < 1 {
 		return WarmupResult{}, fmt.Errorf("covstream: warmupN must be ≥ 1")

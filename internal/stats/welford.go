@@ -18,11 +18,11 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// AddWeighted folds x in count times (count ≥ 0); useful for sparse data
-// where zeros arrive implicitly.
+// AddWeighted folds x in count times in O(1), as a Chan merge of the
+// zero-variance block {count, x, 0}; a count ≤ 0 is a no-op.
 func (w *Welford) AddWeighted(x float64, count int64) {
-	for i := int64(0); i < count; i++ {
-		w.Add(x)
+	if count > 0 {
+		w.Merge(Welford{n: count, mean: x})
 	}
 }
 

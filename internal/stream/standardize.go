@@ -55,13 +55,9 @@ func (st *Standardizer) fit() {
 	st.mean = make([]float64, d)
 	st.invStd = make([]float64, d)
 	for j := 0; j < d; j++ {
-		// Fold the implicit zeros into the moments.
-		zeros := n - accs[j].Count()
-		var w stats.Welford
-		w = accs[j]
-		for z := int64(0); z < zeros; z++ {
-			w.Add(0)
-		}
+		// Fold the implicit zeros in closed form: O(nnz + d), not O(d × fitN).
+		w := accs[j]
+		w.AddWeighted(0, n-w.Count())
 		st.mean[j] = 0
 		if w.Count() > 0 {
 			st.mean[j] = w.Mean()

@@ -28,7 +28,7 @@ func NewBottomK(k int, seed uint64) *BottomK {
 	if k < 1 {
 		k = 1
 	}
-	return &BottomK{k: k, seed: seed, pos: make(map[uint64]struct{}, k)}
+	return &BottomK{k: k, seed: seed, pos: map[uint64]struct{}{}}
 }
 
 // Offer presents a key (idempotently).

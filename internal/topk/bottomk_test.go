@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -110,5 +111,29 @@ func TestBottomKCapacityClamp(t *testing.T) {
 	b.Offer(2)
 	if b.Len() != 1 {
 		t.Errorf("Len = %d, want 1", b.Len())
+	}
+}
+
+// bottomKSink keeps the sampler under measurement reachable.
+var bottomKSink *BottomK
+
+// TestBottomKLargeCapAllocatesNothingUpFront pins the census memory: the
+// warm-up's 5M-key cap is a retention bound, not a presized map, so
+// building the sampler costs a few hundred bytes rather than ~180 MB.
+func TestBottomKLargeCapAllocatesNothingUpFront(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	bottomKSink = NewBottomK(5_000_000, 0xB077)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewBottomK(5_000_000) allocated %d bytes, want < 64 KiB", got)
+	}
+	// The cap still bounds retention once offers arrive.
+	for k := uint64(0); k < 1000; k++ {
+		bottomKSink.Offer(k)
+	}
+	if bottomKSink.Len() != 1000 || bottomKSink.Saturated() {
+		t.Fatalf("Len = %d saturated = %v after 1000 distinct offers", bottomKSink.Len(), bottomKSink.Saturated())
 	}
 }
