@@ -11,6 +11,7 @@ package ascs_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"repro/internal/pairs"
 	"repro/internal/shard"
 	"repro/internal/stream"
+	"repro/internal/topk"
 
 	ascs "repro"
 )
@@ -579,6 +581,66 @@ func TestServedRowCSZeroAllocs(t *testing.T) {
 	offer() // builds the lazy wave scratch
 	if avg := testing.AllocsPerRun(20, offer); avg != 0 {
 		t.Fatalf("served-shape OfferRow with estimates allocates %.1f per sample", avg)
+	}
+}
+
+// servedTopK builds the per-shard read shape of the sparse ASCS
+// workload: a K = 5, range 100 000 sketch holding 2M random inserts and
+// a tracker (capacity 2¹⁴, the daemon default) filled to its 2¹⁵-entry
+// prune bound with keys drawn from the same universe.
+func servedTopK(tb testing.TB) (*countsketch.MeanSketch, *topk.Tracker) {
+	tb.Helper()
+	eng, err := countsketch.NewMeanSketch(countsketch.Config{Tables: 5, Range: 100_000, Seed: 1}, 1<<30)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	keys := make([]uint64, 4096)
+	xs := make([]float64, len(keys))
+	for done := 0; done < 2_000_000; done += len(keys) {
+		for i := range keys {
+			keys[i] = rng.Uint64() % 5e9
+			xs[i] = rng.NormFloat64()
+		}
+		eng.OfferPairs(keys, xs, nil)
+	}
+	tk := topk.NewTracker(1 << 14)
+	for tk.Len() < 1<<15 {
+		tk.Offer(rng.Uint64()%5e9, rng.Float64())
+	}
+	return eng, tk
+}
+
+// BenchmarkTopKRescore times a shard's top-100 read at the served
+// sparse shape: every tracked key rescored by |estimate|, one scalar
+// Estimate per key (scalar) or through the engine's wave-staged
+// EstimateKeys in tracker chunks (batch). ns/key is per tracked key.
+func BenchmarkTopKRescore(b *testing.B) {
+	eng, tk := servedTopK(b)
+	arms := []struct {
+		name string
+		top  func() []topk.Item
+	}{
+		{"scalar", func() []topk.Item {
+			return tk.Top(100, func(key uint64) float64 { return math.Abs(eng.Estimate(key)) })
+		}},
+		{"batch", func() []topk.Item {
+			return tk.TopBatch(100, func(keys []uint64, scores []float64) {
+				eng.EstimateKeys(keys, scores)
+				for i, v := range scores {
+					scores[i] = math.Abs(v)
+				}
+			})
+		}},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				arm.top()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tk.Len()), "ns/key")
+		})
 	}
 }
 

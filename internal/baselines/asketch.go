@@ -407,6 +407,22 @@ func (a *ASketch) Estimate(key uint64) float64 {
 	return a.sk.Estimate(key)
 }
 
+// EstimateKeys implements sketchapi.OfferEstimator: the sketch reads
+// run through the wave stages, then each filtered key adds its exact
+// term as Estimate does, v·fscale + sketch estimate.
+func (a *ASketch) EstimateKeys(keys []uint64, out []float64) {
+	w, g := a.wave.Scratch(a.sk.K())
+	a.sk.EstimateKeys(w, g, keys, out)
+	if len(a.filter) == 0 {
+		return
+	}
+	for i, key := range keys {
+		if v, ok := a.filter[key]; ok {
+			out[i] = v*a.fscale + out[i]
+		}
+	}
+}
+
 // Health implements sketchapi.HealthReporter: the engine has no
 // admission gate, so every offer is admitted mass. Call from the
 // owning goroutine.

@@ -42,6 +42,9 @@ type ColdFilter struct {
 	// (sketchapi.WaveTuner). Layer 2 sees only the overflow trickle of
 	// saturated keys, so it stays on per-key locates.
 	wave countsketch.WaveTune
+	// l2wave is the layer-2 scratch of the EstimateKeys read, which
+	// stages both layers; its group follows wave's.
+	l2wave countsketch.WaveTune
 
 	// Health telemetry: the filter absorbs every offer (no rejection),
 	// so all mass is admitted; waveGroups counts hash/touch-staged
@@ -303,6 +306,34 @@ func (c *ColdFilter) Estimate(key uint64) float64 {
 		e1 = math.Copysign(c.thresh, e1)
 	}
 	return e1 + c.l2.Estimate(key)
+}
+
+// EstimateKeys implements sketchapi.OfferEstimator: per group of keys,
+// both layers are read through the wave stages (each with scratch of
+// its own K), then combined exactly as Estimate does — the layer-1
+// estimate clamped to ±thresh by math.Copysign, plus layer 2.
+func (c *ColdFilter) EstimateKeys(keys []uint64, out []float64) {
+	w1, g := c.wave.Scratch(c.l1.K())
+	if g <= 1 {
+		for i, key := range keys {
+			out[i] = c.Estimate(key)
+		}
+		return
+	}
+	c.l2wave.Set(g)
+	w2, _ := c.l2wave.Scratch(c.l2.K())
+	for lo := 0; lo < len(keys); lo += g {
+		hi := min(lo+g, len(keys))
+		e1s, e2s := out[lo:hi], w2.Ests(hi-lo)
+		c.l1.EstimateGroup(w1, keys[lo:hi], e1s)
+		c.l2.EstimateGroup(w2, keys[lo:hi], e2s)
+		for i, e1 := range e1s {
+			if math.Abs(e1) > c.thresh {
+				e1 = math.Copysign(c.thresh, e1)
+			}
+			e1s[i] = e1 + e2s[i]
+		}
+	}
 }
 
 // Health implements sketchapi.HealthReporter: the filter never rejects

@@ -408,6 +408,13 @@ func (e *Engine) WaveGroup() int { return e.wave.Group() }
 // mean estimate after the stream completes).
 func (e *Engine) Estimate(key uint64) float64 { return e.sk.Estimate(key) }
 
+// EstimateKeys implements sketchapi.OfferEstimator: Estimate of every
+// key, read through the wave stages in groups of the WaveTune size.
+func (e *Engine) EstimateKeys(keys []uint64, out []float64) {
+	w, g := e.wave.Scratch(e.sk.K())
+	e.sk.EstimateKeys(w, g, keys, out)
+}
+
 // Bytes reports the sketch footprint.
 func (e *Engine) Bytes() int { return e.sk.Bytes() }
 

@@ -124,6 +124,13 @@ func (m *MeanSketch) Offer(key uint64, x float64) {
 // Estimate returns the current (t/T-scaled) mean estimate.
 func (m *MeanSketch) Estimate(key uint64) float64 { return m.sk.Estimate(key) }
 
+// EstimateKeys implements sketchapi.OfferEstimator: Estimate of every
+// key, read through the wave stages in groups of the WaveTune size.
+func (m *MeanSketch) EstimateKeys(keys []uint64, out []float64) {
+	w, g := m.wave.Scratch(m.sk.K())
+	m.sk.EstimateKeys(w, g, keys, out)
+}
+
 // OfferEstimate implements sketchapi.OfferEstimator: insert and
 // post-insert estimate off one Locate (the per-call path hashes twice).
 func (m *MeanSketch) OfferEstimate(key uint64, x float64) (float64, bool) {

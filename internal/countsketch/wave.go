@@ -331,6 +331,40 @@ func (s *Sketch) EstimateSlotsBatch(slots []Slot, ests, raws []float64) {
 	}
 }
 
+// EstimateKeys is the wave pipeline's read path: it fills out[i] with
+// Estimate(keys[i]) for every key, running groups of g keys through
+// the first three ingest stages — LocateBatch, TouchSlots and
+// EstimateSlotsBatch — so a group's K·g cache misses overlap instead
+// of each key paying its K in series. Every out[i] is bit-identical to
+// Estimate(keys[i]): the same cells and signs reduced by the same
+// median and multiplied by the same decay scale. g ≤ 1 selects the
+// scalar per-key loop; otherwise w must be scratch for this sketch's K
+// with w.Group() == g (engines pass their WaveTune.Scratch results
+// straight in). The sketch is only read; w's scratch is overwritten.
+func (s *Sketch) EstimateKeys(w *Wave, g int, keys []uint64, out []float64) {
+	if g <= 1 {
+		for i, key := range keys {
+			out[i] = s.Estimate(key)
+		}
+		return
+	}
+	for lo := 0; lo < len(keys); lo += g {
+		hi := min(lo+g, len(keys))
+		s.EstimateGroup(w, keys[lo:hi], out[lo:hi])
+	}
+}
+
+// EstimateGroup is one group of EstimateKeys: len(keys) ≤ w.Group().
+// Engines that combine several sketches per key (Cold Filter's two
+// layers) call it group by group.
+func (s *Sketch) EstimateGroup(w *Wave, keys []uint64, out []float64) {
+	n := len(keys)
+	slots := w.Slots(n)
+	s.LocateBatch(keys, slots)
+	w.Sink += s.TouchSlots(slots)
+	s.EstimateSlotsBatch(slots, out, w.Raws(n))
+}
+
 // AddSlotsBatch is the gate/scatter stage of the wave pipeline: for
 // every group member i with admit[i] true (admit nil admits all) it
 // folds vs[i] into the member's cells, and — when ests is non-nil —

@@ -120,6 +120,13 @@ func TestResolutionFoldedShards(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/ingest", wireSamples(resSamples(d, 200))); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
 	}
+	// The ingest POST returns once its batches are queued, not applied.
+	// Wait until every shard has applied them: otherwise one shard can
+	// fold while the other still holds queued batches, and a later batch
+	// unfolds the first before the top-k read below.
+	if err := srv.Manager().Flush(); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Manager().MaxShardFoldLevel() == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)

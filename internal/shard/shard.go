@@ -413,7 +413,7 @@ type worker struct {
 	// wait is the message in flight, not the queue depth.
 	qch   chan msg
 	eng   sketchapi.Snapshotter
-	fast  sketchapi.OfferEstimator // non-nil when eng supports the fused path
+	fast  sketchapi.OfferEstimator // every engine has it; localTop reads through it
 	row   sketchapi.RowOfferer     // non-nil when eng supports the row path
 	track *topk.Tracker
 	lastT int
@@ -785,12 +785,26 @@ type kv struct {
 	est float64
 }
 
-// localTop returns the shard's k best candidates under rank.
+// localTop returns the shard's k best candidates under rank. The
+// tracked keys are rescored chunk by chunk through the engine's batch
+// read (EstimateKeys: the wave stages), and one more batch read over
+// the k winners supplies their signed estimates.
 func (w *worker) localTop(k int, rank func(float64) float64) []kv {
-	items := w.track.Top(k, func(key uint64) float64 { return rank(w.eng.Estimate(key)) })
-	out := make([]kv, len(items))
+	items := w.track.TopBatch(k, func(keys []uint64, scores []float64) {
+		w.fast.EstimateKeys(keys, scores)
+		for i, v := range scores {
+			scores[i] = rank(v)
+		}
+	})
+	keys := make([]uint64, len(items))
 	for i, it := range items {
-		out[i] = kv{key: it.Key, est: w.eng.Estimate(it.Key)}
+		keys[i] = it.Key
+	}
+	ests := make([]float64, len(items))
+	w.fast.EstimateKeys(keys, ests)
+	out := make([]kv, len(items))
+	for i, key := range keys {
+		out[i] = kv{key: key, est: ests[i]}
 	}
 	return out
 }

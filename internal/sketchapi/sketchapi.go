@@ -44,8 +44,16 @@ type Ingestor interface {
 // state as Offer(key, x) and returns the bit-same value a subsequent
 // Estimate(key) would, while hashing the key once instead of up to three
 // times. All four engines (CS MeanSketch, ASCS core.Engine, ASketch,
-// ColdFilter) implement it; covstream and the serving shards prefer it
-// when present and fall back to Offer+Estimate otherwise.
+// ColdFilter) implement it; covstream and the serving shards' ingest
+// prefer it when present and fall back to Offer+Estimate otherwise, and
+// the shards' top-k read requires it.
+//
+// EstimateKeys is the matching batch read, which the serving shards
+// rescore their top-k candidates with. Its contract: out[i] equals
+// Estimate(keys[i]) bit for bit, at every fold level and decay scale;
+// the engine's state is unchanged (only its wave scratch is written,
+// so like the offers it is single-caller); and nothing is allocated
+// once the scratch exists.
 type OfferEstimator interface {
 	Ingestor
 	// OfferEstimate presents X_i^{(t)} = x for key i and returns the
@@ -60,6 +68,10 @@ type OfferEstimator interface {
 	// as len(keys) OfferEstimate calls would produce them; nil skips the
 	// estimates (pure ingest).
 	OfferPairs(keys []uint64, xs []float64, ests []float64)
+	// EstimateKeys fills out[i] with Estimate(keys[i]) for every key
+	// (len(out) ≥ len(keys)), batching the table reads through the
+	// wave stages where the engine has them.
+	EstimateKeys(keys []uint64, out []float64)
 }
 
 // RowOfferer is the row-level ingest fast path: covariance streams

@@ -141,7 +141,18 @@ type Tracker struct {
 	inv   float64 // 1/scale, applied on Offer
 
 	pruned uint64 // cumulative keys evicted by prune (churn telemetry)
+
+	// ckeys/cscores are TopBatch's rescore chunk: entries stream
+	// through them topChunk at a time, so a batch read needs no
+	// O(cap) score buffer.
+	ckeys   []uint64
+	cscores []float64
 }
+
+// topChunk is TopBatch's rescore chunk length: large enough that a
+// batch rescore sees several wave groups per call (countsketch.WaveGroup
+// is 32), small enough that the chunk stays in L1 (4 KiB).
+const topChunk = 256
 
 // trackEntry is one tracked key; its logical score is score · scale.
 type trackEntry struct {
@@ -161,6 +172,7 @@ const maxTrackerCapacity = 1 << 29
 func NewTracker(capacity int) *Tracker {
 	capacity = max(1, min(capacity, maxTrackerCapacity))
 	slots := 1 << bits.Len(uint(4*capacity-1))
+	chunk := min(topChunk, 2*capacity+1)
 	return &Tracker{
 		cap:     capacity,
 		entries: make([]trackEntry, 0, 2*capacity+1),
@@ -168,6 +180,8 @@ func NewTracker(capacity int) *Tracker {
 		mask:    uint64(slots - 1),
 		scale:   1,
 		inv:     1,
+		ckeys:   make([]uint64, chunk),
+		cscores: make([]float64, chunk),
 	}
 }
 
@@ -237,17 +251,43 @@ func (t *Tracker) Each(fn func(key uint64, score float64)) {
 // Top returns the k highest-scored tracked keys, rescored by rescore if
 // non-nil (e.g. the final sketch estimates), in descending order.
 // Without a rescore the retained scores are reported in logical
-// (decayed) units.
+// (decayed) units. It is TopBatch with rescore applied key by key.
 func (t *Tracker) Top(k int, rescore func(uint64) float64) []Item {
-	h := NewHeap(k)
-	for _, e := range t.entries {
-		sc := e.score
-		if rescore != nil {
-			sc = rescore(e.key)
-		} else {
-			sc *= t.scale
+	if rescore == nil {
+		return t.TopBatch(k, nil)
+	}
+	return t.TopBatch(k, func(keys []uint64, scores []float64) {
+		for i, key := range keys {
+			scores[i] = rescore(key)
 		}
-		h.Push(e.key, sc)
+	})
+}
+
+// TopBatch is Top with a batch rescore: the tracked entries stream
+// through a tracker-owned chunk of at most topChunk keys, whose scores
+// arrive holding the logical retained scores; rescore (if non-nil) may
+// overwrite scores[i] with the score of keys[i]. Each chunk is then
+// pushed into the heap in entry order, the order Top visits, and since
+// Heap.Push keeps the earlier push on a tie the answer is the one the
+// per-key rescore gives, bit for bit. rescore must not retain the
+// slices or call back into the tracker. The chunk is tracker state, so
+// Top and TopBatch, like Offer, need a single caller at a time. Beyond
+// the k-sized heap and result nothing is allocated.
+func (t *Tracker) TopBatch(k int, rescore func(keys []uint64, scores []float64)) []Item {
+	h := NewHeap(k)
+	for lo := 0; lo < len(t.entries); lo += len(t.ckeys) {
+		es := t.entries[lo:min(lo+len(t.ckeys), len(t.entries))]
+		keys, scores := t.ckeys[:len(es)], t.cscores[:len(es)]
+		for i, e := range es {
+			keys[i] = e.key
+			scores[i] = e.score * t.scale
+		}
+		if rescore != nil {
+			rescore(keys, scores)
+		}
+		for i, key := range keys {
+			h.Push(key, scores[i])
+		}
 	}
 	return h.SortedDesc()
 }
