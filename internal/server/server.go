@@ -22,6 +22,13 @@
 // Restore swaps in a freshly restored manager atomically; requests in
 // flight against the old manager complete (or observe ErrClosed →
 // 503) before it is torn down.
+//
+// Ingest bodies are decoded without reflection: a scanner for the fixed
+// sample schema parses the buffered body into pooled flat arenas, and
+// anything outside its canonical subset is decoded again by
+// encoding/json, so accept/reject behaviour and error text are
+// encoding/json's (see ingest.go). The other bodies go through
+// encoding/json directly.
 package server
 
 import (
@@ -41,7 +48,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/sketchapi"
-	"repro/internal/stream"
 )
 
 // Options configures a Server.
@@ -112,6 +118,10 @@ type Server struct {
 	// without a shard fan-out.
 	foldedQueries atomic.Uint64
 	cacheHits     atomic.Uint64
+
+	// arenaDone, when set (tests only, before serving), sees every
+	// ingest arena as its request releases it.
+	arenaDone func(*ingestArena)
 }
 
 // New wraps mgr. The caller keeps ownership of nothing: Close tears
@@ -331,37 +341,34 @@ type IngestResponse struct {
 }
 
 // decodeBody JSON-decodes at most limit bytes of the request body into
-// v: 413 past the cap, 400 on malformed JSON. Every body-carrying
-// endpoint goes through it so none can balloon memory; the
-// ResponseWriter lets net/http close the connection on overrun instead
-// of draining the doomed upload.
+// v: 413 past the cap, 400 on malformed JSON. The snapshot and restore
+// bodies go through it, and ingest falls back to the same decode, so
+// none can balloon memory; the ResponseWriter lets net/http close the
+// connection on overrun instead of draining the doomed upload.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	body := http.MaxBytesReader(w, r.Body, limit)
 	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
-				err: fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return badRequest("decoding body: %v", err)
+		return decodeError(err)
 	}
 	return nil
 }
 
+// handleIngest decodes the body into a pooled arena (see ingest.go) and
+// feeds the samples to the manager. The arena goes back to the pool
+// only after IngestCtx returns, the point past which nothing holds a
+// sample.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) (any, error) {
-	var req IngestRequest
-	if err := decodeBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
+	a := arenas.Get().(*ingestArena)
+	defer s.releaseArena(a)
+	samples, err := a.decode(a.readBody(w, r, s.opts.MaxBodyBytes))
+	if err != nil {
 		return nil, err
 	}
-	if len(req.Samples) == 0 {
+	if len(samples) == 0 {
 		return nil, badRequest("ingest body has no samples")
 	}
-	if len(req.Samples) > s.opts.MaxBatch {
-		return nil, badRequest("batch of %d samples exceeds limit %d", len(req.Samples), s.opts.MaxBatch)
-	}
-	samples := make([]stream.Sample, len(req.Samples))
-	for i, sj := range req.Samples {
-		samples[i] = stream.Sample{Idx: sj.Idx, Val: sj.Val}
+	if len(samples) > s.opts.MaxBatch {
+		return nil, badRequest("batch of %d samples exceeds limit %d", len(samples), s.opts.MaxBatch)
 	}
 	mgr := s.mgr.Load()
 	ctx, cancel, err := s.requestCtx(r, s.opts.IngestTimeout)
@@ -380,6 +387,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) (any, erro
 		return nil, err
 	}
 	return IngestResponse{Accepted: len(samples), First: first, Last: last, Warming: mgr.Warming()}, nil
+}
+
+// releaseArena hands a finished request's arena back to the pool,
+// letting a test hook see it first.
+func (s *Server) releaseArena(a *ingestArena) {
+	if s.arenaDone != nil {
+		s.arenaDone(a)
+	}
+	a.release()
 }
 
 // PairJSON is the wire form of one retrieved pair.

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/countsketch"
@@ -246,6 +250,34 @@ func TestServerStatusMapping(t *testing.T) {
 	}); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
 	}
+	// The cap applies to the bytes the decode needs: a complete value
+	// within the cap is accepted even when trailing bytes push the body
+	// past it (json.Decoder never reads them), while a value that runs
+	// past the cap, or a syntax error inside it, is answered as such.
+	_, capped := newTestServer(t, shard.Config{
+		Dim: d, Shards: 1,
+		Engine: shard.EngineSpec{Kind: shard.KindCS, Sketch: skCfg, T: n},
+	}, server.Options{MaxBodyBytes: 48})
+	const value = `{"samples":[{"idx":[0,1],"val":[1,2]}]}`
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{value + strings.Repeat(" ", 64), http.StatusOK},
+		{value + "garbage" + strings.Repeat("x", 64), http.StatusOK},
+		{`{"samples":[{"idx":[0,1],"val":[1,2]}, {"idx":[2,3],"val":[3,4]}]}`, http.StatusRequestEntityTooLarge},
+		{`{"samples":x` + strings.Repeat(" ", 64), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(capped.URL+"/v1/ingest", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("capped body %.40q…: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+	}
 
 	// Warming: queries 503, ingest fine.
 	if resp, body := postJSON(t, ts.URL+"/v1/ingest", wireSamples(samples[:50])); resp.StatusCode != http.StatusOK {
@@ -331,5 +363,90 @@ func TestServerUnboundedDecay(t *testing.T) {
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/ingest", wireSamples(samples[:50])); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restore ingest status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// discardWriter is a reusable ResponseWriter for allocation counts.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// sparseBody encodes n samples of 10–19 indices out of d with 17-digit
+// values, the shape of the sparse serving workload.
+func sparseBody(t *testing.T, rng *rand.Rand, n, d int) []byte {
+	t.Helper()
+	req := server.IngestRequest{Samples: make([]server.SampleJSON, n)}
+	for i := range req.Samples {
+		nnz := 10 + rng.Intn(10)
+		idx := rng.Perm(d)[:nnz]
+		slices.Sort(idx)
+		val := make([]float64, nnz)
+		for j := range val {
+			val[j] = rng.NormFloat64()
+		}
+		req.Samples[i] = server.SampleJSON{Idx: idx, Val: val}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestIngestAllocsFlat pins the ingest handler's allocations per
+// request to a small constant: the body decodes into pooled arenas, so
+// the count must not grow with the samples a request carries.
+func TestIngestAllocsFlat(t *testing.T) {
+	const d = 2000
+	// A short shard queue keeps the batch freelist ahead of routing, and
+	// small batches keep every batch's run headers within their initial
+	// capacity: the shard layer then allocates nothing per request, so
+	// the count below is the handler's own.
+	mgr, err := shard.New(shard.Config{
+		Dim: d, Shards: 2, QueueLen: 2, FlushOps: 64,
+		Engine: shard.EngineSpec{Kind: shard.KindCS, Sketch: countsketch.Config{Tables: 5, Range: 1 << 12, Seed: 7}, T: 1 << 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(mgr, server.Options{})
+	defer srv.Close()
+	h := srv.Handler()
+	rng := rand.New(rand.NewSource(5))
+	step := 0
+	for _, n := range []int{16, 256} {
+		body := sparseBody(t, rng, n, d)
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", io.NopCloser(rd))
+		req.ContentLength = int64(len(body))
+		req.Header.Set("X-Request-ID", "alloc-pin")
+		w := &discardWriter{h: http.Header{}}
+		serve := func() {
+			rd.Reset(body)
+			h.ServeHTTP(w, req)
+		}
+		for i := 0; i < 20; i++ {
+			serve()
+		}
+		if err := mgr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(50, serve)
+		st, err := mgr.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step += 71 * n; st.Step != step {
+			t.Fatalf("%d-sample bodies: step %d, want %d (ingest failed)", n, st.Step, step)
+		}
+		t.Logf("%d-sample ingest request: %.1f allocs", n, avg)
+		// Steady state is 6. The slack covers the race detector, which
+		// drops a quarter of sync.Pool puts at random; a re-grown arena
+		// costs a handful of allocations at any request size.
+		if avg > 16 {
+			t.Fatalf("%d-sample ingest request allocates %.1f times, want ≤ 16 regardless of size", n, avg)
+		}
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/countsketch"
+	"repro/internal/sketchapi"
 	"repro/internal/stream"
 )
 
-// TestRestoreKeepsFusedPath is the regression pin for a silent perf
-// cliff: Restore must wire the fused OfferPairs path (worker.fast)
-// exactly as Manager.start does, or every restored deployment falls
-// back to the pre-fusion per-op ingest sequence for the rest of its
-// life.
+// TestRestoreKeepsFusedPath pins that Restore wires the row ingest path
+// (worker.row) exactly as Manager.start does: the worker has no other
+// way to apply a batch.
 func TestRestoreKeepsFusedPath(t *testing.T) {
 	m, err := New(Config{
 		Dim: 10,
@@ -26,7 +25,7 @@ func TestRestoreKeepsFusedPath(t *testing.T) {
 	}
 	defer m.Close()
 	for _, w := range m.workers {
-		if w.fast == nil {
+		if w.row == nil {
 			t.Fatal("fresh manager worker lacks the fused path (test setup broken)")
 		}
 	}
@@ -43,8 +42,16 @@ func TestRestoreKeepsFusedPath(t *testing.T) {
 	}
 	defer r.Close()
 	for i, w := range r.workers {
-		if w.fast == nil {
+		if w.row == nil {
 			t.Fatalf("restored worker %d lost the fused OfferPairs path", i)
 		}
+	}
+}
+
+// TestRowEngineRequired pins that worker construction refuses an engine
+// without the row path instead of running without one.
+func TestRowEngineRequired(t *testing.T) {
+	if _, err := rowEngine(struct{ sketchapi.Snapshotter }{}); err == nil {
+		t.Fatal("rowEngine accepted an engine without OfferRow")
 	}
 }

@@ -92,6 +92,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -413,8 +414,7 @@ type worker struct {
 	// wait is the message in flight, not the queue depth.
 	qch   chan msg
 	eng   sketchapi.Snapshotter
-	fast  sketchapi.OfferEstimator // every engine has it; localTop reads through it
-	row   sketchapi.RowOfferer     // non-nil when eng supports the row path
+	row   sketchapi.RowOfferer // eng's ingest and batch-read path (required, see rowEngine)
 	track *topk.Tracker
 	lastT int
 	ops   uint64
@@ -479,9 +479,8 @@ type worker struct {
 	// so the hot path stays lock-free and allocation-free.
 	lambda float64
 
-	// Scratch for the batched fast paths, reused across apply calls
-	// (keys only for engines without OfferRow; ests for the tracker).
-	keys []uint64
+	// ests is the per-offer estimate scratch the tracker scores from,
+	// reused across apply calls.
 	ests []float64
 }
 
@@ -734,45 +733,19 @@ func (w *worker) apply(b *rowBatch) {
 		if h.t > w.lastT {
 			w.beginStep(h.t)
 		}
-		switch {
-		case w.row != nil:
-			// Row fast path: the engine expands base+partner keys inside
-			// its wave pipeline; the tracker reuses the per-offer
-			// estimates (one locate serves gate, insert, and score) and
-			// re-derives each key with the same wrapping add.
-			if cap(w.ests) < h.n {
-				w.ests = make([]float64, h.n)
-			}
-			ests := w.ests[:h.n]
-			w.row.OfferRow(h.base, prt, xs, ests)
-			for i, p := range prt {
-				w.track.Offer(h.base+p, math.Abs(ests[i]))
-			}
-		case w.fast != nil:
-			// Fused pair path for engines without OfferRow: materialize
-			// the run's keys into worker scratch and push one OfferPairs.
-			keys := w.keys[:0]
-			for _, p := range prt {
-				keys = append(keys, h.base+p)
-			}
-			if cap(w.ests) < h.n {
-				w.ests = make([]float64, h.n)
-			}
-			ests := w.ests[:h.n]
-			w.fast.OfferPairs(keys, xs, ests)
-			for i, key := range keys {
-				w.track.Offer(key, math.Abs(ests[i]))
-			}
-			w.keys = keys
-		default:
-			for i, p := range prt {
-				key := h.base + p
-				w.eng.Offer(key, xs[i])
-				// Same candidate policy as the batch retrieval path
-				// (covstream): score by the current |estimate| and rescore
-				// at query time, so keys the gate keeps admitting stay hot.
-				w.track.Offer(key, math.Abs(w.eng.Estimate(key)))
-			}
+		// The engine expands base+partner keys inside its wave
+		// pipeline; the tracker reuses the per-offer estimates (one
+		// locate serves gate, insert, and score) and re-derives each key
+		// with the same wrapping add. Candidates are scored by the
+		// current |estimate| and rescored at query time, so keys the gate
+		// keeps admitting stay hot.
+		if cap(w.ests) < h.n {
+			w.ests = make([]float64, h.n)
+		}
+		ests := w.ests[:h.n]
+		w.row.OfferRow(h.base, prt, xs, ests)
+		for i, p := range prt {
+			w.track.Offer(h.base+p, math.Abs(ests[i]))
 		}
 		w.ops += uint64(h.n)
 	}
@@ -791,7 +764,7 @@ type kv struct {
 // the k winners supplies their signed estimates.
 func (w *worker) localTop(k int, rank func(float64) float64) []kv {
 	items := w.track.TopBatch(k, func(keys []uint64, scores []float64) {
-		w.fast.EstimateKeys(keys, scores)
+		w.row.EstimateKeys(keys, scores)
 		for i, v := range scores {
 			scores[i] = rank(v)
 		}
@@ -801,7 +774,7 @@ func (w *worker) localTop(k int, rank func(float64) float64) []kv {
 		keys[i] = it.Key
 	}
 	ests := make([]float64, len(items))
-	w.fast.EstimateKeys(keys, ests)
+	w.row.EstimateKeys(keys, ests)
 	out := make([]kv, len(items))
 	for i, key := range keys {
 		out[i] = kv{key: key, est: ests[i]}
@@ -978,21 +951,20 @@ func (m *Manager) start(spec EngineSpec) error {
 		if err != nil {
 			return err
 		}
+		row, err := rowEngine(eng)
+		if err != nil {
+			return err
+		}
 		w := &worker{
 			id:     i,
 			ch:     make(chan msg, m.cfg.QueueLen),
 			qch:    make(chan msg, m.cfg.QueueLen),
 			eng:    eng,
+			row:    row,
 			track:  topk.NewTracker(m.cfg.TrackCandidates),
 			lambda: spec.Lambda,
 			free:   m.opFree,
 			faults: m.faults,
-		}
-		if f, ok := eng.(sketchapi.OfferEstimator); ok {
-			w.fast = f
-		}
-		if r, ok := eng.(sketchapi.RowOfferer); ok {
-			w.row = r
 		}
 		w.foldSetup(m.cfg.FoldIdle, m.cfg.FoldIdleTicks, m.cfg.FoldLevels)
 		if m.wlog != nil {
@@ -1218,6 +1190,12 @@ func (m *Manager) ingestWarming(samples []stream.Sample) (first, last int, err e
 	m.cacheEpoch.Add(1)
 	m.replayCond.Broadcast()
 	m.mu.Unlock()
+	// The warm-up's transient allocations (the AutoSpec census and
+	// solve: tens of MB on a sparse stream) are garbage now. Steady
+	// ingest allocates almost nothing, so the GC cycle that would let
+	// the runtime return those pages can be minutes away; return them
+	// at the phase boundary instead.
+	debug.FreeOSMemory()
 	return first, last, nil
 }
 

@@ -667,14 +667,8 @@ func readShard(path string, kind Kind, trackCap int) (*worker, error) {
 		return nil, err
 	}
 	w.eng = eng
-	// Same fast-path detection as Manager.start: without it a restored
-	// manager would silently fall back to per-op ingest (three hash
-	// phases) for the rest of its life.
-	if f, ok := eng.(sketchapi.OfferEstimator); ok {
-		w.fast = f
-	}
-	if r, ok := eng.(sketchapi.RowOfferer); ok {
-		w.row = r
+	if w.row, err = rowEngine(eng); err != nil {
+		return nil, err
 	}
 	w.track, err = readTracker(br, trackCap)
 	if err != nil {

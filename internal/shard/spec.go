@@ -143,6 +143,25 @@ func (sp EngineSpec) coldFilterLayers() (l1, l2 countsketch.Config, thresh float
 	return l1, l2, thresh
 }
 
+// The shard worker ingests through OfferRow and reads top-k candidates
+// through EstimateKeys, so every engine kind must be a RowOfferer.
+var (
+	_ sketchapi.RowOfferer = (*countsketch.MeanSketch)(nil)
+	_ sketchapi.RowOfferer = (*core.Engine)(nil)
+	_ sketchapi.RowOfferer = (*baselines.ASketch)(nil)
+	_ sketchapi.RowOfferer = (*baselines.ColdFilter)(nil)
+)
+
+// rowEngine returns eng's row path, failing worker construction (fresh,
+// restored from a snapshot, or recovered from the WAL) when it has none.
+func rowEngine(eng sketchapi.Snapshotter) (sketchapi.RowOfferer, error) {
+	r, ok := eng.(sketchapi.RowOfferer)
+	if !ok {
+		return nil, fmt.Errorf("shard: engine %T does not implement sketchapi.RowOfferer", eng)
+	}
+	return r, nil
+}
+
 // build constructs one engine from the spec: the fixed-horizon
 // constructor, or the decayed (unbounded) one when Lambda is set.
 func (sp EngineSpec) build() (sketchapi.Snapshotter, error) {

@@ -18,7 +18,7 @@ import (
 func setWaveGroup(t *testing.T, m *Manager, g int) {
 	t.Helper()
 	err := m.execAll(context.Background(), ConsistencyFresh, nil, func(w *worker) {
-		w.fast.(sketchapi.WaveTuner).SetWaveGroup(g)
+		w.row.(sketchapi.WaveTuner).SetWaveGroup(g)
 	})
 	if err != nil {
 		t.Fatal(err)
