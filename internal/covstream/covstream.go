@@ -455,25 +455,67 @@ func (e *Estimator) top(k int, rank func(float64) float64) ([]PairEstimate, erro
 	d := e.cfg.Dim
 	var items []topk.Item
 	if e.track != nil {
-		items = e.track.Top(k, func(key uint64) float64 { return rank(e.cfg.Engine.Estimate(key)) })
+		items = e.track.TopBatch(k, func(keys []uint64, scores []float64) {
+			e.estimateKeys(keys, scores)
+			for i, v := range scores {
+				scores[i] = rank(v)
+			}
+		})
 	} else {
 		p := pairs.Count(d)
 		if p > e.cfg.MaxExhaustivePairs {
 			return nil, fmt.Errorf("covstream: %d pairs exceed exhaustive limit %d; enable TrackCandidates", p, e.cfg.MaxExhaustivePairs)
 		}
-		h := topk.NewHeap(k)
-		for idx := int64(0); idx < p; idx++ {
-			key := uint64(idx)
-			h.Push(key, rank(e.cfg.Engine.Estimate(key)))
-		}
-		items = h.SortedDesc()
+		items = e.scanAll(k, p, rank)
 	}
-	out := make([]PairEstimate, len(items))
+	keys := make([]uint64, len(items))
 	for i, it := range items {
-		a, b := pairs.Decode(int64(it.Key), d)
-		out[i] = PairEstimate{A: a, B: b, Key: it.Key, Estimate: e.cfg.Engine.Estimate(it.Key)}
+		keys[i] = it.Key
+	}
+	ests := make([]float64, len(items))
+	e.estimateKeys(keys, ests)
+	out := make([]PairEstimate, len(items))
+	for i, key := range keys {
+		a, b := pairs.Decode(int64(key), d)
+		out[i] = PairEstimate{A: a, B: b, Key: key, Estimate: ests[i]}
 	}
 	return out, nil
+}
+
+// scanChunk is the key chunk the exhaustive scans estimate per batch
+// read, as topk.Tracker.TopBatch does for tracked candidates.
+const scanChunk = 256
+
+// scanAll returns the k best of all p pair keys under rank, estimated
+// chunk by chunk and pushed in key order — the order, and so the tie
+// breaks, of a key-by-key scan.
+func (e *Estimator) scanAll(k int, p int64, rank func(float64) float64) []topk.Item {
+	h := topk.NewHeap(k)
+	keys := make([]uint64, scanChunk)
+	ests := make([]float64, scanChunk)
+	for lo := int64(0); lo < p; lo += scanChunk {
+		n := int(min(scanChunk, p-lo))
+		for i := range n {
+			keys[i] = uint64(lo) + uint64(i)
+		}
+		e.estimateKeys(keys[:n], ests[:n])
+		for i, v := range ests[:n] {
+			h.Push(keys[i], rank(v))
+		}
+	}
+	return h.SortedDesc()
+}
+
+// estimateKeys fills out[i] with the engine's estimate of keys[i],
+// through the wave stages' batch read when the engine has one.
+func (e *Estimator) estimateKeys(keys []uint64, out []float64) {
+	if e.fast != nil {
+		e.fast.EstimateKeys(keys, out)
+		return
+	}
+	for i, key := range keys {
+		out[i] = e.cfg.Engine.Estimate(key)
+	}
 }
 
 // RankedKeys returns all p pair keys ordered by descending estimate
@@ -484,11 +526,7 @@ func (e *Estimator) RankedKeys() ([]uint64, error) {
 	if p > e.cfg.MaxExhaustivePairs {
 		return nil, fmt.Errorf("covstream: %d pairs exceed exhaustive limit", p)
 	}
-	h := topk.NewHeap(int(p))
-	for idx := int64(0); idx < p; idx++ {
-		h.Push(uint64(idx), e.cfg.Engine.Estimate(uint64(idx)))
-	}
-	items := h.SortedDesc()
+	items := e.scanAll(int(p), p, func(v float64) float64 { return v })
 	keys := make([]uint64, len(items))
 	for i, it := range items {
 		keys[i] = it.Key

@@ -119,9 +119,13 @@ const (
 	// the engine's contract recomputes estimates from the table
 	// (estimating CS shapes, filter engines).
 	ShardWaveFallbackShape
-	// ShardTrackerPruned counts candidate-tracker evictions (top-k
-	// churn: keys pruned to keep the tracker bounded).
+	// ShardTrackerPruned counts offers the candidate tracker did not
+	// keep (top-k churn): keys pruned to keep the tracker bounded plus
+	// offers refused at its admission floor.
 	ShardTrackerPruned
+	// ShardTrackerRefused counts offers refused at the tracker's
+	// admission floor (a subset of ShardTrackerPruned).
+	ShardTrackerRefused
 	// ShardAdmissionRejects counts ingest requests shed at admission
 	// because THIS shard's queue crossed the bound (the shard that
 	// triggered the 429). Sender-side multi-writer: updated with
@@ -178,7 +182,8 @@ var ShardDefs = [NumShardCounters]Def{
 		LabelK: "cause", LabelV: "exploration"},
 	ShardWaveFallbackShape: {Name: "ascs_wave_fallback_total", Kind: Counter, Help: "Wave groups replayed per-pair, by cause.",
 		LabelK: "cause", LabelV: "shape"},
-	ShardTrackerPruned:    {Name: "ascs_topk_tracker_pruned_total", Kind: Counter, Help: "Candidate-tracker evictions (top-k churn)."},
+	ShardTrackerPruned:    {Name: "ascs_topk_tracker_pruned_total", Kind: Counter, Help: "Offers the candidate tracker did not keep: prune evictions plus admission-floor refusals (top-k churn)."},
+	ShardTrackerRefused:   {Name: "ascs_topk_tracker_refused_total", Kind: Counter, Help: "Offers refused at the candidate tracker's admission floor (a subset of the pruned total)."},
 	ShardAdmissionRejects: {Name: "ascs_shard_admission_rejects_total", Kind: Counter, Help: "Ingest requests shed because this shard's queue crossed the admission bound."},
 	ShardDeadlineAbandons: {Name: "ascs_shard_deadline_abandons_total", Kind: Counter, Help: "Operations abandoned at their deadline while queued for this shard."},
 	ShardTracked:          {Name: "ascs_topk_tracked", Kind: Gauge, Help: "Candidate keys currently tracked."},

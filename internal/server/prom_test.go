@@ -54,7 +54,10 @@ func TestMetricsExposition(t *testing.T) {
 	const d, n = 20, 400
 	_, ts := newTestServer(t, shard.Config{
 		Dim: d, Shards: 3,
-		Engine: shard.EngineSpec{Kind: shard.KindCS, Sketch: countsketch.Config{Tables: 3, Range: 512, Seed: 5}, T: 10_000},
+		// Fewer candidates than the stream's pair keys, so the trackers
+		// prune and refuse and their counters read nonzero.
+		TrackCandidates: 4,
+		Engine:          shard.EngineSpec{Kind: shard.KindCS, Sketch: countsketch.Config{Tables: 3, Range: 512, Seed: 5}, T: 10_000},
 	}, server.Options{})
 
 	resp, body := postJSON(t, ts.URL+"/v1/ingest", wireSamples(promSamples(d, n)))
@@ -101,6 +104,9 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE ascs_topk_cache_hits_total counter",
 		"# TYPE ascs_snapshot_last_bytes gauge",
 		"# TYPE ascs_snapshots_total counter",
+		"# TYPE ascs_topk_tracker_pruned_total counter",
+		"# TYPE ascs_topk_tracker_refused_total counter",
+		`ascs_topk_tracker_refused_total{shard="2"}`,
 		`ascs_shard_fold_level{shard="0"}`,
 		`ascs_shard_folds_total{shard="1"}`,
 		"ascs_step 400",
@@ -119,6 +125,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := fams["ascs_shard_ops_total"].Sum; got != float64(3*n) {
 		t.Errorf("ascs_shard_ops_total sums to %v, want %d", got, 3*n)
+	}
+	// Floor refusals are a subset of the offers the trackers did not keep.
+	if pruned, refused := fams["ascs_topk_tracker_pruned_total"].Sum, fams["ascs_topk_tracker_refused_total"].Sum; refused == 0 || refused > pruned {
+		t.Errorf("tracker pruned total %v, refused total %v; want 0 < refused ≤ pruned", pruned, refused)
 	}
 	if fams["ascs_http_requests_total"].Sum < 2 {
 		t.Errorf("http requests total %v, want ≥ 2", fams["ascs_http_requests_total"].Sum)

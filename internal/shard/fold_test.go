@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/countsketch"
+	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -185,7 +186,9 @@ func TestSnapshotFoldShrink(t *testing.T) {
 // manager resumes them (monotonic counters across restore), and a
 // second snapshot never reports less than the first.
 func TestTelemetryBaselinePersistence(t *testing.T) {
-	m := newFoldManager(t, Config{Shards: 2})
+	// A 4-key tracker over the ~60 keys of foldSamples prunes and
+	// refuses, so its counters have a baseline to carry.
+	m := newFoldManager(t, Config{Shards: 2, TrackCandidates: 4})
 	if _, _, err := m.Ingest(foldSamples(200)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +224,9 @@ func TestTelemetryBaselinePersistence(t *testing.T) {
 	var batches uint64
 	for _, sb := range man.Telemetry.Shards {
 		batches += sb.Batches
+		if sb.TrackerRefused == 0 || sb.TrackerPruned <= sb.TrackerRefused {
+			t.Fatalf("manifest tracker baseline pruned=%d refused=%d, want 0 < refused < pruned", sb.TrackerPruned, sb.TrackerRefused)
+		}
 	}
 	if batches == 0 {
 		t.Fatal("manifest shard baselines carry no applied batches")
@@ -234,6 +240,26 @@ func TestTelemetryBaselinePersistence(t *testing.T) {
 	adm := restored.AdmissionState()
 	if adm.ShedRequests != 7 || adm.DeadlineOps != 11 || adm.DeadlineQueries != 3 {
 		t.Fatalf("restored admission counters %+v, want the snapshotted baselines", adm)
+	}
+	// The tracker counters resume from the baseline, in the stats and
+	// in the published /metrics slots alike.
+	st, err := restored.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sb := range man.Telemetry.Shards {
+		h := st.PerShard[i].Health
+		if h.TrackerPruned != sb.TrackerPruned || h.TrackerRefused != sb.TrackerRefused {
+			t.Fatalf("shard %d restored tracker counters %d/%d, want the baseline %d/%d",
+				i, h.TrackerPruned, h.TrackerRefused, sb.TrackerPruned, sb.TrackerRefused)
+		}
+		tel := &restored.Tel(i).Snap
+		if got := tel.Load(obs.ShardTrackerPruned); got != sb.TrackerPruned {
+			t.Fatalf("shard %d published pruned total %d after restore, want %d", i, got, sb.TrackerPruned)
+		}
+		if got := tel.Load(obs.ShardTrackerRefused); got != sb.TrackerRefused {
+			t.Fatalf("shard %d published refused total %d after restore, want %d", i, got, sb.TrackerRefused)
+		}
 	}
 
 	// Monotonicity: more traffic, second snapshot, baselines only grow.
@@ -258,8 +284,12 @@ func TestTelemetryBaselinePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var batches2 uint64
-	for _, sb := range man2.Telemetry.Shards {
+	for i, sb := range man2.Telemetry.Shards {
 		batches2 += sb.Batches
+		if first := man.Telemetry.Shards[i]; sb.TrackerPruned < first.TrackerPruned || sb.TrackerRefused < first.TrackerRefused {
+			t.Fatalf("shard %d tracker baseline fell across restore: %d/%d then %d/%d",
+				i, first.TrackerPruned, first.TrackerRefused, sb.TrackerPruned, sb.TrackerRefused)
+		}
 	}
 	if batches2 <= batches {
 		t.Fatalf("batch baseline not monotonic across restore: %d then %d", batches, batches2)

@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/countsketch"
 	"repro/internal/sketchapi"
 	"repro/internal/stream"
+	"repro/internal/topk"
 )
 
 // TestRestoreKeepsFusedPath pins that Restore wires the row ingest path
@@ -53,5 +55,61 @@ func TestRestoreKeepsFusedPath(t *testing.T) {
 func TestRowEngineRequired(t *testing.T) {
 	if _, err := rowEngine(struct{ sketchapi.Snapshotter }{}); err == nil {
 		t.Fatal("rowEngine accepted an engine without OfferRow")
+	}
+}
+
+// TestTrackerBlobFloor pins the tracker blob's floor trailer: an armed
+// floor round-trips, a blob without the trailer (a tracker that never
+// pruned, or one written before the floor existed) restores with the
+// floor unarmed until the first prune, and a torn trailer fails.
+func TestTrackerBlobFloor(t *testing.T) {
+	tr := topk.NewTracker(4)
+	for k := uint64(1); k <= 9; k++ {
+		tr.Offer(k, float64(k))
+	}
+	tr.Offer(3, 0.5) // tracked entries may sit below the floor
+	var blob bytes.Buffer
+	if err := writeTracker(&blob, tr); err != nil {
+		t.Fatal(err)
+	}
+	back, err := readTracker(bytes.NewReader(blob.Bytes()), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, ws, _ := tr.Floor()
+	if k, s, ok := back.Floor(); !ok || k != wk || s != ws || back.Len() != tr.Len() {
+		t.Fatalf("restored floor (%d, %v, %v) with %d entries, want (%d, %v, true) with %d",
+			k, s, ok, back.Len(), wk, ws, tr.Len())
+	}
+
+	// Without the trailer: the pre-floor layout.
+	entries := blob.Bytes()[:blob.Len()-20]
+	old, err := readTracker(bytes.NewReader(entries), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := old.Floor(); ok || old.Len() != tr.Len() {
+		t.Fatalf("pre-floor blob restored with the floor armed (%v) or %d entries, want unarmed with %d", ok, old.Len(), tr.Len())
+	}
+	for k := uint64(20); k < 30; k++ {
+		old.Offer(k, 100)
+	}
+	if _, _, ok := old.Floor(); !ok {
+		t.Fatal("a pre-floor restore never armed the floor at its first prune")
+	}
+
+	// A tracker that never pruned writes the pre-floor bytes exactly.
+	small := topk.NewTracker(4)
+	small.Offer(1, 1)
+	var sb bytes.Buffer
+	if err := writeTracker(&sb, small); err != nil {
+		t.Fatal(err)
+	}
+	if sb.Len() != 4+16 {
+		t.Fatalf("unarmed tracker blob is %d bytes, want 20 (no trailer)", sb.Len())
+	}
+
+	if _, err := readTracker(bytes.NewReader(blob.Bytes()[:blob.Len()-3]), 4); err == nil {
+		t.Fatal("a torn floor trailer restored")
 	}
 }

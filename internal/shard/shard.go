@@ -430,6 +430,11 @@ type worker struct {
 	decayer   sketchapi.Decayer
 	batches   uint64
 	laneJumps uint64
+	// prunedBase/refusedBase are the tracker counters a restored worker
+	// resumes from: the rebuilt tracker counts from zero, and these keep
+	// the published totals monotonic across the restore.
+	prunedBase  uint64
+	refusedBase uint64
 
 	// free is the manager's batch freelist: applied ingest batches are
 	// returned here so route can reuse them instead of growing fresh
@@ -484,6 +489,12 @@ type worker struct {
 	ests []float64
 }
 
+// trackerCounts returns the tracker's cumulative pruned and refused
+// offers, snapshot baselines included.
+func (w *worker) trackerCounts() (pruned, refused uint64) {
+	return w.prunedBase + w.track.Pruned(), w.refusedBase + w.track.Refused()
+}
+
 // wire attaches the telemetry block and caches the engine's optional
 // telemetry interfaces. Called before the worker goroutine starts (or
 // with the worker quiescent), then publishes once so restored state
@@ -516,7 +527,9 @@ func (w *worker) publish() {
 	s.Store(obs.ShardLaneJumps, w.laneJumps)
 	s.Store(obs.ShardStep, uint64(w.lastT))
 	s.Store(obs.ShardTracked, uint64(w.track.Len()))
-	s.Store(obs.ShardTrackerPruned, w.track.Pruned())
+	pruned, refused := w.trackerCounts()
+	s.Store(obs.ShardTrackerPruned, pruned)
+	s.Store(obs.ShardTrackerRefused, refused)
 	s.Store(obs.ShardEngineBytes, uint64(w.eng.Bytes()))
 	if w.health != nil {
 		h := w.health.Health()
@@ -1805,8 +1818,10 @@ func (m *Manager) MergedSketch() (*countsketch.Sketch, error) {
 
 // ShardHealth is the structured superset of the /metrics shard gauges
 // exposed through /v1/stats: the engine's sketch-health counters plus
-// the worker's pressure marks. Counts are cumulative since construction
-// (telemetry is not serialized; they restart at 0 after Restore).
+// the worker's pressure marks. Counts are cumulative since construction;
+// a restored manager resumes the ones its manifest's telemetry baseline
+// carries (batches, lane jumps, folds, unfolds, tracker pruned and
+// refused).
 type ShardHealth struct {
 	Batches   uint64 `json:"batches"`
 	LaneJumps uint64 `json:"lane_jumps"`
@@ -1827,7 +1842,11 @@ type ShardHealth struct {
 	WaveFallbackConflict    uint64  `json:"wave_fallback_conflict"`
 	WaveFallbackExploration uint64  `json:"wave_fallback_exploration"`
 	WaveFallbackShape       uint64  `json:"wave_fallback_shape"`
-	TrackerPruned           uint64  `json:"tracker_pruned"`
+	// TrackerPruned counts offers the candidate tracker did not keep:
+	// prune evictions plus the TrackerRefused offers it turned away at
+	// its admission floor.
+	TrackerPruned  uint64 `json:"tracker_pruned"`
+	TrackerRefused uint64 `json:"tracker_refused"`
 	// Folds / Unfolds count idle-policy folds and ingest-triggered
 	// unfolds since construction (or the snapshot baseline).
 	Folds   uint64 `json:"folds,omitempty"`
@@ -1943,10 +1962,12 @@ func (m *Manager) StatsT(ctx context.Context, c Consistency, tr *QueryTrace) (St
 			Queue:     len(w.ch),
 			FastQueue: len(w.qch),
 		}
+		pruned, refused := w.trackerCounts()
 		s.Health = ShardHealth{
-			Batches:       w.batches,
-			LaneJumps:     w.laneJumps,
-			TrackerPruned: w.track.Pruned(),
+			Batches:        w.batches,
+			LaneJumps:      w.laneJumps,
+			TrackerPruned:  pruned,
+			TrackerRefused: refused,
 		}
 		if w.tel != nil {
 			s.Health.QueueHighWater = w.tel.Snap.Load(obs.ShardQueueHighWater)

@@ -134,13 +134,15 @@ type walManifest struct {
 
 // shardBaseline is one shard's cumulative counter baseline at the
 // snapshot cut. Ops and step always traveled in the shard blob
-// header; these are the worker counters that used to restart at zero
-// on restore.
+// header; these are the worker and tracker counters that used to
+// restart at zero on restore.
 type shardBaseline struct {
-	Batches   uint64 `json:"batches,omitempty"`
-	LaneJumps uint64 `json:"lane_jumps,omitempty"`
-	Folds     uint64 `json:"folds,omitempty"`
-	Unfolds   uint64 `json:"unfolds,omitempty"`
+	Batches        uint64 `json:"batches,omitempty"`
+	LaneJumps      uint64 `json:"lane_jumps,omitempty"`
+	Folds          uint64 `json:"folds,omitempty"`
+	Unfolds        uint64 `json:"unfolds,omitempty"`
+	TrackerPruned  uint64 `json:"tracker_pruned,omitempty"`
+	TrackerRefused uint64 `json:"tracker_refused,omitempty"`
 }
 
 // telemetryBaseline aggregates the restorable cumulative telemetry:
@@ -216,7 +218,9 @@ func (m *Manager) Snapshot(dir string) error {
 		crc, size, err := w.writeSnapshot(path, m.cfg.SnapshotFold)
 		werrs[w.id] = err
 		man.Files[w.id] = shardFileInfo{Name: filepath.Base(path), Bytes: size, CRC32C: crc}
-		bases[w.id] = shardBaseline{Batches: w.batches, LaneJumps: w.laneJumps, Folds: w.folds, Unfolds: w.unfolds}
+		pruned, refused := w.trackerCounts()
+		bases[w.id] = shardBaseline{Batches: w.batches, LaneJumps: w.laneJumps, Folds: w.folds, Unfolds: w.unfolds,
+			TrackerPruned: pruned, TrackerRefused: refused}
 		// The closure runs on the worker goroutine after every batch
 		// enqueued before the cut, so walLast is exactly the highest log
 		// sequence whose effect this blob contains.
@@ -416,7 +420,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // writeTracker serializes the candidate tracker as a count and then
 // (key, logical score) entries in the tracker's own order, which is a
 // function of the offer history alone: the same stream writes the same
-// bytes, and readTracker rebuilds the same order.
+// bytes, and readTracker rebuilds the same order. An armed admission
+// floor follows as a trailer (floorTag, key, logical score); a tracker
+// that never pruned writes none, so its bytes are the pre-floor format.
 func writeTracker(w io.Writer, t *topk.Tracker) error {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(t.Len()))
@@ -435,8 +441,24 @@ func writeTracker(w io.Writer, t *topk.Tracker) error {
 			werr = err
 		}
 	})
-	return werr
+	if werr != nil {
+		return werr
+	}
+	key, score, ok := t.Floor()
+	if !ok {
+		return nil
+	}
+	var tr [4 + 16]byte
+	binary.LittleEndian.PutUint32(tr[0:], floorTag)
+	binary.LittleEndian.PutUint64(tr[4:], key)
+	binary.LittleEndian.PutUint64(tr[12:], math.Float64bits(score))
+	_, err := w.Write(tr[:])
+	return err
 }
+
+// floorTag opens the tracker's floor trailer, the last record of a
+// shard blob ("TFLR" little-endian).
+const floorTag = 0x524c4654
 
 // RestoreOverrides carries deployment knobs a restored daemon applies
 // on top of the manifest: none of them change the serialized sketch
@@ -566,6 +588,7 @@ func RestoreWith(dir string, o RestoreOverrides) (*Manager, error) {
 			b := man.Telemetry.Shards[i]
 			w.batches, w.laneJumps = b.Batches, b.LaneJumps
 			w.folds, w.unfolds = b.Folds, b.Unfolds
+			w.prunedBase, w.refusedBase = b.TrackerPruned, b.TrackerRefused
 		}
 		w.foldSetup(cfg.FoldIdle, cfg.FoldIdleTicks, cfg.FoldLevels)
 		w.wire(m.tels[i])
@@ -692,5 +715,20 @@ func readTracker(r io.Reader, capacity int) (*topk.Tracker, error) {
 		t.Offer(binary.LittleEndian.Uint64(buf[0:]),
 			math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])))
 	}
+	// The floor is armed only after the entries are back: tracked
+	// entries may rank below it (in-place updates lower them), and
+	// re-offering them must not be refused. A blob that ends after the
+	// entries carries no floor — written before the first prune, or by
+	// a tracker that predates the floor — and restores it unarmed.
+	var tr [4 + 16]byte
+	switch _, err := io.ReadFull(r, tr[:]); {
+	case err == io.EOF:
+		return t, nil
+	case err != nil:
+		return nil, fmt.Errorf("reading tracker floor: %w", err)
+	case binary.LittleEndian.Uint32(tr[0:]) != floorTag:
+		return nil, fmt.Errorf("bad tracker floor tag %08x", binary.LittleEndian.Uint32(tr[0:]))
+	}
+	t.SetFloor(binary.LittleEndian.Uint64(tr[4:]), math.Float64frombits(binary.LittleEndian.Uint64(tr[12:])))
 	return t, nil
 }

@@ -126,11 +126,21 @@ func (h *Heap) down(i int) {
 // survivors in place (quickselect under ranksAbove), truncates the
 // slice and rebuilds the index. Nothing allocates after NewTracker.
 //
+// Each prune arms an admission floor: the lowest-ranked survivor of the
+// cut under ranksAbove, kept in raw units. From then on an Offer for an
+// untracked key that ranks below the floor is refused — counted, not
+// appended — since the last cut already ranked that score out. Offers
+// for tracked keys still update in place. The floor moves only at the
+// next prune (or with a Decay renormalisation, which rescales it with
+// the entries), so it is a bar as of the last cut, not a live minimum.
+//
 // For exponential-decay serving the tracker supports O(1) aging: Decay
 // multiplies every retained score by a factor lazily (a global scale,
 // exactly like the count sketch's lazy decay), so candidates that stop
 // being offered sink relative to fresh ones and eventually prune out —
-// admitted pairs age out of top-k instead of squatting forever.
+// admitted pairs age out of top-k instead of squatting forever. Offers
+// are divided by the scale into raw units, so lazy decay leaves the raw
+// floor where it is.
 type Tracker struct {
 	cap     int
 	entries []trackEntry // dense; len ≤ 2·cap between calls
@@ -140,7 +150,11 @@ type Tracker struct {
 	scale float64 // lazy decay accumulator
 	inv   float64 // 1/scale, applied on Offer
 
-	pruned uint64 // cumulative keys evicted by prune (churn telemetry)
+	floor trackEntry // lowest-ranked survivor of the last prune, raw units
+	armed bool       // floor is armed (set by the first prune or SetFloor)
+
+	evicted uint64 // cumulative keys evicted by prune
+	refused uint64 // cumulative offers refused at the floor
 
 	// ckeys/cscores are TopBatch's rescore chunk: entries stream
 	// through them topChunk at a time, so a batch read needs no
@@ -198,12 +212,17 @@ func (t *Tracker) lookup(key uint64) (slot uint64, pos int32) {
 	}
 }
 
-// Offer records (or refreshes) the score for key.
+// Offer records (or refreshes) the score for key. A key that is not
+// tracked and ranks below the armed floor is refused.
 func (t *Tracker) Offer(key uint64, score float64) {
 	raw := score * t.inv
 	slot, pos := t.lookup(key)
 	if pos != 0 {
 		t.entries[pos-1].score = raw
+		return
+	}
+	if t.armed && !ranksAbove(trackEntry{key, raw}, t.floor) {
+		t.refused++
 		return
 	}
 	t.entries = append(t.entries, trackEntry{key, raw})
@@ -226,6 +245,7 @@ func (t *Tracker) Decay(f float64) {
 		for i := range t.entries {
 			t.entries[i].score *= t.scale
 		}
+		t.floor.score *= t.scale
 		t.scale, t.inv = 1, 1
 		return
 	}
@@ -293,23 +313,48 @@ func (t *Tracker) TopBatch(k int, rescore func(keys []uint64, scores []float64))
 }
 
 // prune keeps the cap highest-ranked entries under rankOrder and
-// re-indexes them, in place. On distinct scores the survivors are the
-// cap highest scores; ties at the cut go to the smaller key.
+// re-indexes them, in place, and arms the floor at the lowest-ranked
+// survivor. On distinct scores the survivors are the cap highest
+// scores; ties at the cut go to the smaller key.
 func (t *Tracker) prune() {
 	selectTop(t.entries, t.cap, 8*len(t.entries))
-	t.pruned += uint64(len(t.entries) - t.cap)
+	t.evicted += uint64(len(t.entries) - t.cap)
 	t.entries = t.entries[:t.cap]
+	t.floor, t.armed = t.entries[0], true
 	clear(t.index)
 	for i, e := range t.entries {
+		if ranksAbove(t.floor, e) {
+			t.floor = e
+		}
 		slot, _ := t.lookup(e.key)
 		t.index[slot] = int32(i + 1)
 	}
 }
 
-// Pruned returns the cumulative number of keys evicted by pruning —
-// the top-k churn signal: how many once-admitted candidates have been
-// displaced by fresher or heavier ones.
-func (t *Tracker) Pruned() uint64 { return t.pruned }
+// Pruned returns the cumulative number of offers the tracker did not
+// keep, the top-k churn signal: keys evicted by pruning plus offers
+// refused at the floor, which the floor-free tracker would have taken
+// in and mostly evicted at its next prune.
+func (t *Tracker) Pruned() uint64 { return t.evicted + t.refused }
+
+// Refused returns the cumulative number of offers refused at the
+// floor (a subset of Pruned).
+func (t *Tracker) Refused() uint64 { return t.refused }
+
+// Floor returns the admission floor in logical (decayed) units — the
+// key and score of the last prune's lowest-ranked survivor — and false
+// while it is unarmed (before the first prune).
+func (t *Tracker) Floor() (key uint64, score float64, ok bool) {
+	return t.floor.key, t.floor.score * t.scale, t.armed
+}
+
+// SetFloor arms the floor at (key, score), score in logical units. It
+// is the restore side of Floor: a tracker rebuilt by re-offering a
+// snapshot's entries, then given the snapshot's floor, admits what the
+// snapshotted tracker would.
+func (t *Tracker) SetFloor(key uint64, score float64) {
+	t.floor, t.armed = trackEntry{key, score * t.inv}, true
+}
 
 // ranksAbove is the strict total order prune selects under: higher
 // score first, NaN below every number (±Inf rank by value), and the

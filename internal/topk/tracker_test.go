@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -15,25 +16,42 @@ import (
 // iterates the map, so when equal scores straddle the cut Go's
 // randomised iteration order picks the survivors; tiedCut records that
 // this happened, because the comparison only binds on distinct scores.
+//
+// floored selects the admission rule: a floored reference arms a floor
+// at each prune's lowest-ranked survivor and refuses untracked keys
+// ranking below it, as Tracker does; a floor-free one is the tracker's
+// behaviour before the floor, kept as the twin the divergence
+// measurement compares against.
 type mapTracker struct {
-	cap    int
-	scores map[uint64]float64
-	scale  float64
-	inv    float64
-	pruned uint64
+	cap     int
+	scores  map[uint64]float64
+	scale   float64
+	inv     float64
+	pruned  uint64
+	refused uint64
+
+	floored bool
+	armed   bool
+	floor   trackEntry // raw units, like the scores
 
 	tiedCut bool
 }
 
-func newMapTracker(capacity int) *mapTracker {
+func newMapTracker(capacity int, floored bool) *mapTracker {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &mapTracker{cap: capacity, scores: make(map[uint64]float64, 2*capacity), scale: 1, inv: 1}
+	return &mapTracker{cap: capacity, scores: make(map[uint64]float64, 2*capacity), scale: 1, inv: 1, floored: floored}
 }
 
 func (t *mapTracker) Offer(key uint64, score float64) {
-	t.scores[key] = score * t.inv
+	raw := score * t.inv
+	if _, ok := t.scores[key]; !ok && t.armed && !ranksAbove(trackEntry{key, raw}, t.floor) {
+		t.refused++
+		t.pruned++
+		return
+	}
+	t.scores[key] = raw
 	if len(t.scores) > 2*t.cap {
 		t.prune()
 	}
@@ -48,10 +66,19 @@ func (t *mapTracker) Decay(f float64) {
 		for k, v := range t.scores {
 			t.scores[k] = v * t.scale
 		}
+		t.floor.score *= t.scale
 		t.scale, t.inv = 1, 1
 		return
 	}
 	t.inv = 1 / t.scale
+}
+
+func (t *mapTracker) Floor() (uint64, float64, bool) {
+	return t.floor.key, t.floor.score * t.scale, t.armed
+}
+
+func (t *mapTracker) SetFloor(key uint64, score float64) {
+	t.floor, t.armed = trackEntry{key, score * t.inv}, true
 }
 
 func (t *mapTracker) Len() int { return len(t.scores) }
@@ -95,13 +122,20 @@ func (t *mapTracker) prune() {
 	for _, it := range kept {
 		t.scores[it.Key] = it.Score
 	}
+	if t.floored {
+		// SortedDesc breaks score ties by the smaller key, so its last
+		// item is the lowest-ranked survivor under ranksAbove.
+		last := kept[len(kept)-1]
+		t.floor, t.armed = trackEntry{last.Key, last.Score}, true
+	}
 }
 
-func (t *mapTracker) Pruned() uint64 { return t.pruned }
+func (t *mapTracker) Pruned() uint64  { return t.pruned }
+func (t *mapTracker) Refused() uint64 { return t.refused }
 
 // trackerOp is one step of a differential stream: an Offer, a Decay
-// tick, or a restore (rebuild from Each via Offer, as a snapshot
-// restore does).
+// tick, or a restore (rebuild from Each via Offer, then re-arm the
+// floor, as a snapshot restore does).
 type trackerOp struct {
 	kind  byte // 'o', 'd' or 'r'
 	key   uint64
@@ -161,7 +195,7 @@ func rescoreByKey(key uint64) float64 { return float64(hashing.Mix64(key) >> 11)
 // the reference's answer depends on map order and nothing is compared.
 func runTrackerDifferential(t *testing.T, seed int64, capacity, n int) bool {
 	t.Helper()
-	got, ref := NewTracker(capacity), newMapTracker(capacity)
+	got, ref := NewTracker(capacity), newMapTracker(capacity, true)
 	for i, op := range trackerStream(seed, capacity, n) {
 		switch op.kind {
 		case 'o':
@@ -171,9 +205,15 @@ func runTrackerDifferential(t *testing.T, seed int64, capacity, n int) bool {
 			got.Decay(op.value)
 			ref.Decay(op.value)
 		case 'r':
-			ng, nr := NewTracker(capacity), newMapTracker(capacity)
+			ng, nr := NewTracker(capacity), newMapTracker(capacity, true)
 			got.Each(ng.Offer)
 			ref.Each(nr.Offer)
+			if k, s, ok := got.Floor(); ok {
+				ng.SetFloor(k, s)
+			}
+			if k, s, ok := ref.Floor(); ok {
+				nr.SetFloor(k, s)
+			}
 			got, ref = ng, nr
 		}
 		if ref.tiedCut {
@@ -188,13 +228,19 @@ func runTrackerDifferential(t *testing.T, seed int64, capacity, n int) bool {
 	return compareTrackers(t, got, ref)
 }
 
-// compareTrackers checks Len, Pruned, Each and Top between the two;
-// it returns false (having checked nothing further) when a Top boundary
-// falls inside a run of equal scores.
+// compareTrackers checks Len, Pruned, Refused, Floor, Each and Top
+// between the two; it returns false (having checked nothing further)
+// when a Top boundary falls inside a run of equal scores.
 func compareTrackers(t *testing.T, got *Tracker, ref *mapTracker) bool {
 	t.Helper()
-	if got.Len() != ref.Len() || got.Pruned() != ref.Pruned() {
-		t.Fatalf("Len/Pruned = %d/%d, reference %d/%d", got.Len(), got.Pruned(), ref.Len(), ref.Pruned())
+	if got.Len() != ref.Len() || got.Pruned() != ref.Pruned() || got.Refused() != ref.Refused() {
+		t.Fatalf("Len/Pruned/Refused = %d/%d/%d, reference %d/%d/%d",
+			got.Len(), got.Pruned(), got.Refused(), ref.Len(), ref.Pruned(), ref.Refused())
+	}
+	gk, gs, gok := got.Floor()
+	rk, rs, rok := ref.Floor()
+	if gk != rk || math.Float64bits(gs) != math.Float64bits(rs) || gok != rok {
+		t.Fatalf("Floor = (%d, %v, %v), reference (%d, %v, %v)", gk, gs, gok, rk, rs, rok)
 	}
 	g, r := eachSorted(got.Each), eachSorted(ref.Each)
 	if !slices.Equal(g, r) {
@@ -259,6 +305,161 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 			t.Skip("equal scores at a cut: the reference is order-dependent there")
 		}
 	})
+}
+
+// floorDivergence counts, over one stream, how often the floored
+// tracker's answers differ from the floor-free twin's.
+type floorDivergence struct {
+	prunes, setDiffs, topDiffs int // at the floor-free twin's prunes
+	reads, readDiffs           int // at fixed read points between prunes
+	refused, offered           uint64
+}
+
+// measureFloorDivergence drives a Tracker and a floor-free reference
+// through one stream. At every prune of the floor-free twin it compares
+// the twin's cap survivors with the floored tracker's cap best retained
+// entries (the retained set) and Top(k, nil); every 97 ops it compares
+// Top(k, nil) again, since a served read may land anywhere in the prune
+// cycle. Restores rebuild both, each with its own floor state.
+func measureFloorDivergence(seed int64, capacity, n, k int) floorDivergence {
+	var d floorDivergence
+	got, twin := NewTracker(capacity), newMapTracker(capacity, false)
+	keySet := func(items []Item) map[uint64]bool {
+		m := make(map[uint64]bool, len(items))
+		for _, it := range items {
+			m[it.Key] = true
+		}
+		return m
+	}
+	for i, op := range trackerStream(seed, capacity, n) {
+		switch op.kind {
+		case 'o':
+			before := twin.Pruned()
+			got.Offer(op.key, op.value)
+			twin.Offer(op.key, op.value)
+			d.offered++
+			if twin.Pruned() != before {
+				d.prunes++
+				if !maps.Equal(keySet(got.Top(capacity, nil)), keySet(twin.Top(capacity, nil))) {
+					d.setDiffs++
+				}
+				if !itemsEqual(got.Top(k, nil), twin.Top(k, nil)) {
+					d.topDiffs++
+				}
+			}
+		case 'd':
+			got.Decay(op.value)
+			twin.Decay(op.value)
+		case 'r':
+			ng, nt := NewTracker(capacity), newMapTracker(capacity, false)
+			got.Each(ng.Offer)
+			twin.Each(nt.Offer)
+			if fk, fs, ok := got.Floor(); ok {
+				ng.SetFloor(fk, fs)
+			}
+			d.refused += got.Refused()
+			got, twin = ng, nt
+		}
+		if i%97 == 0 {
+			d.reads++
+			if !itemsEqual(got.Top(k, nil), twin.Top(k, nil)) {
+				d.readDiffs++
+			}
+		}
+	}
+	d.refused += got.Refused()
+	return d
+}
+
+// TestTrackerFloorDivergence measures what the admission floor changes.
+// The floor is not exact: a key refused below it is one the floor-free
+// tracker would usually evict at its next prune, but in-place re-offers
+// can lower tracked entries beneath the refused score before that
+// prune, the floored tracker prunes later (it appends fewer keys), and
+// a read between prunes sees every entry the floor-free tracker still
+// holds. So the rates are logged, not pinned; the test requires only
+// that the grid exercised the floor.
+func TestTrackerFloorDivergence(t *testing.T) {
+	for _, capacity := range []int{8, 37, 256} {
+		var sum floorDivergence
+		k := max(1, capacity/8)
+		for seed := int64(1); seed <= 40; seed++ {
+			d := measureFloorDivergence(seed, capacity, 3000, k)
+			sum.prunes += d.prunes
+			sum.setDiffs += d.setDiffs
+			sum.topDiffs += d.topDiffs
+			sum.reads += d.reads
+			sum.readDiffs += d.readDiffs
+			sum.refused += d.refused
+			sum.offered += d.offered
+		}
+		if sum.refused == 0 || sum.prunes == 0 {
+			t.Fatalf("cap %d: %d refusals over %d prunes; the grid must exercise the floor", capacity, sum.refused, sum.prunes)
+		}
+		t.Logf("cap %d (Top k=%d): refused %.1f%% of %d offers; at %d floor-free prunes the retained set differs %.1f%%, Top(k) %.1f%%; at %d reads Top(k) differs %.1f%%",
+			capacity, k, 100*float64(sum.refused)/float64(sum.offered), sum.offered,
+			sum.prunes, 100*float64(sum.setDiffs)/float64(sum.prunes), 100*float64(sum.topDiffs)/float64(sum.prunes),
+			sum.reads, 100*float64(sum.readDiffs)/float64(sum.reads))
+	}
+}
+
+// TestTrackerFloor pins the admission floor: unarmed until the first
+// prune, then the lowest-ranked survivor; untracked keys below it are
+// refused (and counted in Pruned), tracked keys still update, and the
+// floor follows the lazy scale in logical units.
+func TestTrackerFloor(t *testing.T) {
+	tr := NewTracker(4)
+	for k := uint64(1); k <= 8; k++ {
+		tr.Offer(k, float64(k))
+	}
+	if _, _, ok := tr.Floor(); ok {
+		t.Fatal("floor armed before the first prune")
+	}
+	tr.Offer(9, 9) // prune: keeps 6..9
+	if k, s, ok := tr.Floor(); !ok || k != 6 || s != 6 {
+		t.Fatalf("Floor = (%d, %v, %v), want (6, 6, true)", k, s, ok)
+	}
+	tr.Offer(20, 5)          // below the floor: refused
+	tr.Offer(21, math.NaN()) // NaN ranks below every number
+	tr.Offer(5, 6)           // ties the floor score, smaller key: admitted
+	tr.Offer(22, 6)          // ties it with a larger key: refused
+	tr.Offer(6, 0.5)         // tracked: updated in place, below the floor
+	if tr.Len() != 5 || tr.Refused() != 3 || tr.Pruned() != 5+3 {
+		t.Fatalf("Len/Refused/Pruned = %d/%d/%d, want 5/3/8", tr.Len(), tr.Refused(), tr.Pruned())
+	}
+	got := map[uint64]float64{}
+	tr.Each(func(k uint64, s float64) { got[k] = s })
+	if got[6] != 0.5 || got[5] != 6 {
+		t.Fatalf("entries %v, want key 6 at 0.5 and key 5 at 6", got)
+	}
+
+	// Lazy decay leaves the raw floor alone: in logical units it sinks
+	// with the entries, so a fresh offer of 3 clears a floor of 6·0.25.
+	tr.Decay(0.25)
+	if _, s, _ := tr.Floor(); s != 1.5 {
+		t.Fatalf("decayed floor %v, want 1.5", s)
+	}
+	tr.Offer(23, 3)
+	if tr.Refused() != 3 {
+		t.Fatal("an offer above the decayed floor was refused")
+	}
+	// Renormalisation folds the scale into the floor like the entries.
+	for i := 0; i < 8; i++ {
+		tr.Decay(1e-20)
+	}
+	if _, s, _ := tr.Floor(); math.Abs(s/1.5e-160-1) > 1e-12 {
+		t.Fatalf("renormalised floor %v, want 1.5e-160", s)
+	}
+
+	// SetFloor re-arms a rebuilt tracker in logical units.
+	re := NewTracker(4)
+	re.Decay(0.5)
+	re.SetFloor(7, 2)
+	re.Offer(30, 1.9)
+	re.Offer(31, 2.1)
+	if k, s, ok := re.Floor(); k != 7 || s != 2 || !ok || re.Len() != 1 || re.Refused() != 1 {
+		t.Fatalf("SetFloor: Floor (%d, %v, %v), Len %d, Refused %d; want (7, 2, true), 1, 1", k, s, ok, re.Len(), re.Refused())
+	}
 }
 
 // TestTrackerTieCut pins the prune cut on tied scores: higher score
