@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
@@ -536,10 +537,11 @@ func servedRowCS(tb testing.TB, d, samples int) (eng *countsketch.MeanSketch, ba
 	return eng, bases, partners, xs
 }
 
-// BenchmarkServedRowCS is the shard worker's engine call on the dense
-// CS workload: d = 160 dense rows through OfferRow, each pair returning
-// its post-add estimate for the tracker, K = 5, range 200 000. ns/op is
-// ns per offered pair.
+// BenchmarkServedRowCS is the dense CS workload's engine row path:
+// d = 160 dense rows through OfferRow, each pair returning its post-add
+// estimate for the tracker, K = 5, range 200 000. ns/op is ns per
+// offered pair. (The shard worker offers a step's rows as one
+// OfferPairs call; dense rows fill the wave groups either way.)
 func BenchmarkServedRowCS(b *testing.B) {
 	const d = 160
 	eng, bases, partners, xs := servedRowCS(b, d, 16)
@@ -581,6 +583,20 @@ func TestServedRowCSZeroAllocs(t *testing.T) {
 	offer() // builds the lazy wave scratch
 	if avg := testing.AllocsPerRun(20, offer); avg != 0 {
 		t.Fatalf("served-shape OfferRow with estimates allocates %.1f per sample", avg)
+	}
+	// The shard worker's call: one OfferPairs over a step's materialized
+	// keys.
+	var keys []uint64
+	var flat []float64
+	for i, base := range bases {
+		for j, p := range partners[i] {
+			keys = append(keys, base+p)
+			flat = append(flat, xs[0][i][j])
+		}
+	}
+	stepEsts := make([]float64, len(keys))
+	if avg := testing.AllocsPerRun(20, func() { eng.OfferPairs(keys, flat, stepEsts) }); avg != 0 {
+		t.Fatalf("served-shape OfferPairs with estimates allocates %.1f per sample", avg)
 	}
 }
 
@@ -748,6 +764,72 @@ func BenchmarkShardIngest(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(d*(d-1)/2), "offers/op")
 		})
+	}
+	b.Run("sparse-ascs", benchShardIngestSparse)
+}
+
+// benchShardIngestSparse is BenchmarkShardIngest at the served sparse
+// shape: URL-like samples (d = 100 000, ~14.5 nonzeros, so each sample's
+// ~100 pairs form ~13 short rows) through an ASCS manager with 2
+// shards. An op is one sample; ns/pair is per offered pair, and
+// pairs/group is the wave groups' mean occupancy (ops ÷ wave_groups
+// from Stats), which shows whether a shard's short row runs are packed
+// into full groups.
+func benchShardIngestSparse(b *testing.B) {
+	const d = 100_000
+	cfg := dataset.URLConfig{
+		Dim: d, GroupSize: 3, Groups: d / 3, ActiveGroups: 3,
+		FireProb: 0.95, BackgroundNZ: 6, Seed: 1,
+	}
+	src, err := cfg.NewSource(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := stream.Drain(src)
+	T := b.N + 1
+	mgr, err := shard.New(shard.Config{
+		Dim: d, Shards: 2,
+		Engine: shard.EngineSpec{
+			Kind:     shard.KindASCS,
+			Sketch:   countsketch.Config{Tables: 5, Range: 100_000, Seed: 1},
+			T:        T,
+			Schedule: core.Hyperparams{T0: min(200, T), Theta: 0.05, Tau0: 1e-5, T: T},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mgr.Close()
+	pairsIn := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for lo := 0; lo < b.N; lo += 64 {
+		hi := min(lo+64, b.N)
+		batch := make([]stream.Sample, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			s := samples[i%len(samples)]
+			batch = append(batch, s)
+			pairsIn += s.NNZ() * (s.NNZ() - 1) / 2
+		}
+		if _, _, err := mgr.Ingest(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := mgr.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	st, err := mgr.Stats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var groups uint64
+	for _, s := range st.PerShard {
+		groups += s.Health.WaveGroups
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairsIn), "ns/pair")
+	if groups > 0 {
+		b.ReportMetric(float64(st.Ops)/float64(groups), "pairs/group")
 	}
 }
 

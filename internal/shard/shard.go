@@ -359,11 +359,10 @@ type rowHdr struct {
 
 // rowBatch is the routed ingest unit: a columnar batch of pair
 // increments grouped into row runs. Shipping (base, partners, xs) runs
-// instead of flat (key, x) ops keeps the row structure intact across
-// the channel, so the worker can feed each run straight into the
-// engine's OfferRow fast path (the engine materializes the keys as a
-// vector add inside its wave pipeline) — and it is smaller on the wire:
-// one base per run instead of a full key per pair.
+// instead of flat (key, x) ops is smaller on the wire and in the WAL:
+// one base per run instead of a full key per pair. The worker
+// materializes the keys (base + partner) per step and offers each
+// step's runs in one OfferPairs call (see apply).
 type rowBatch struct {
 	hdrs []rowHdr
 	prt  []uint64  // partner ids, Σ hdrs[i].n entries, run-contiguous
@@ -484,8 +483,10 @@ type worker struct {
 	// so the hot path stays lock-free and allocation-free.
 	lambda float64
 
-	// ests is the per-offer estimate scratch the tracker scores from,
-	// reused across apply calls.
+	// keys and ests are apply's step-packing scratch: the batch's
+	// materialized pair keys and the per-offer estimates the tracker
+	// scores from, grown to the largest batch seen and reused.
+	keys []uint64
 	ests []float64
 }
 
@@ -738,30 +739,44 @@ func (w *worker) apply(b *rowBatch) {
 		w.folded = false
 		w.unfolds++
 	}
-	o := 0
-	for _, h := range b.hdrs {
-		prt := b.prt[o : o+h.n]
-		xs := b.xs[o : o+h.n]
-		o += h.n
-		if h.t > w.lastT {
-			w.beginStep(h.t)
-		}
-		// The engine expands base+partner keys inside its wave
-		// pipeline; the tracker reuses the per-offer estimates (one
-		// locate serves gate, insert, and score) and re-derives each key
-		// with the same wrapping add. Candidates are scored by the
-		// current |estimate| and rescored at query time, so keys the gate
-		// keeps admitting stay hot.
-		if cap(w.ests) < h.n {
-			w.ests = make([]float64, h.n)
-		}
-		ests := w.ests[:h.n]
-		w.row.OfferRow(h.base, prt, xs, ests)
-		for i, p := range prt {
-			w.track.Offer(h.base+p, math.Abs(ests[i]))
-		}
-		w.ops += uint64(h.n)
+	// Step packing: consecutive runs that need no step boundary between
+	// them (normally one step's runs on this shard) are keyed into one
+	// scratch slice and offered in one OfferPairs call, so the wave
+	// groups fill across row boundaries instead of draining on the
+	// ~4-pair runs of sparse samples. This is exact: engine state does
+	// not depend on how offers are split into calls, τ and decay move
+	// only at beginStep, and the tracker never feeds back into the
+	// engine, so a span's engine offers may all precede its tracker
+	// offers.
+	n := b.pairs()
+	if cap(w.keys) < n {
+		w.keys = make([]uint64, n)
+		w.ests = make([]float64, n)
 	}
+	keys, ests := w.keys[:n], w.ests[:n]
+	o := 0
+	for i := 0; i < len(b.hdrs); {
+		if t := b.hdrs[i].t; t > w.lastT {
+			w.beginStep(t)
+		}
+		lo := o
+		for ; i < len(b.hdrs) && b.hdrs[i].t <= w.lastT; i++ {
+			h := b.hdrs[i]
+			for j, p := range b.prt[o : o+h.n] {
+				keys[o+j] = h.base + p
+			}
+			o += h.n
+		}
+		// The tracker reuses the per-offer estimates (one locate serves
+		// gate, insert, and score). Candidates are scored by the current
+		// |estimate| and rescored at query time, so keys the gate keeps
+		// admitting stay hot.
+		w.row.OfferPairs(keys[lo:o], b.xs[lo:o], ests[lo:o])
+		for j, key := range keys[lo:o] {
+			w.track.Offer(key, math.Abs(ests[lo+j]))
+		}
+	}
+	w.ops += uint64(n)
 }
 
 // kv is a per-shard query result: a candidate key with its signed
@@ -1285,7 +1300,7 @@ func (m *Manager) putBufs(bufs []*rowBatch) {
 // steady-state routing re-slices nothing: a batch's pair capacity is
 // always FlushOps and the flush check fires exactly at capacity — a
 // run crossing the flush boundary continues as a fresh run in the next
-// batch, which the worker applies identically (OfferRow call splits
+// batch, which the worker applies identically (OfferPairs call splits
 // never change engine state). When ctx expires mid-route the staged
 // remainder is abandoned (counted) and ErrDeadline propagates.
 func (m *Manager) route(ctx context.Context, samples []stream.Sample, base int) error {
@@ -1305,9 +1320,9 @@ func (m *Manager) route(ctx context.Context, samples []stream.Sample, base int) 
 		for i := 0; i+1 < len(idx); i++ {
 			// Row-major pair keys: partners of idx[i] are rowBase + idx[j],
 			// a pure increment instead of per-pair Index arithmetic. The
-			// base and partner travel separately so the worker can feed
-			// OfferRow; shardOf still sees the full key, keeping the
-			// key-partitioned routing semantics intact.
+			// base and partner travel separately (one base per run) and
+			// the worker re-adds them; shardOf still sees the full key,
+			// keeping the key-partitioned routing semantics intact.
 			rowBase := uint64(pairs.RowBase(idx[i], m.cfg.Dim))
 			ya := val[i]
 			for j := i + 1; j < len(idx); j++ {

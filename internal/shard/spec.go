@@ -143,8 +143,9 @@ func (sp EngineSpec) coldFilterLayers() (l1, l2 countsketch.Config, thresh float
 	return l1, l2, thresh
 }
 
-// The shard worker ingests through OfferRow and reads top-k candidates
-// through EstimateKeys, so every engine kind must be a RowOfferer.
+// The shard worker ingests through OfferPairs and reads top-k
+// candidates through EstimateKeys; rowEngine requires the RowOfferer
+// facet, which carries both, so every engine kind must be one.
 var (
 	_ sketchapi.RowOfferer = (*countsketch.MeanSketch)(nil)
 	_ sketchapi.RowOfferer = (*core.Engine)(nil)

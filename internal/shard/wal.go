@@ -284,7 +284,7 @@ func (m *Manager) setupWAL(cover []uint64, restored bool) error {
 		rec.ReplayedRecords++
 		rec.ReplayedOps += uint64(b.pairs())
 		// Normal ingest delivery: the worker applies the batch through
-		// the same OfferRow path (unfolding first if an idle fold or a
+		// the same step-packed OfferPairs path (unfolding first if an idle fold or a
 		// folded snapshot left the engine coarse), then recycles it —
 		// the tee is not armed yet, so replay never re-logs itself.
 		m.workers[sh].ch <- msg{ops: b, enq: time.Now()}

@@ -3,11 +3,15 @@ package shard
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/countsketch"
+	"repro/internal/dataset"
+	"repro/internal/pairs"
 	"repro/internal/sketchapi"
 	"repro/internal/stream"
 )
@@ -168,5 +172,219 @@ func TestRouteStagingReuse(t *testing.T) {
 	// sightings) that AllocsPerRun's global counters pick up.
 	if avg > 3 {
 		t.Fatalf("Ingest steady state allocates %.1f times per call; staging buffers are not being reused", avg)
+	}
+}
+
+// TestShardWaveMatchesScalarShortRuns is TestShardWaveMatchesScalar in
+// the paper's sparse regime, on every engine kind: a URL-like stream
+// whose samples break into many short row runs, a FlushOps small enough
+// that runs split across batches while each batch spans several steps,
+// and a tracker small enough to prune and refuse. A default manager
+// (step-packed OfferPairs at the default wave group) must match one
+// forced onto the scalar loop on the served top-k, every offered key's
+// estimate, the tracker's pruned and refused counts, and the op count.
+func TestShardWaveMatchesScalarShortRuns(t *testing.T) {
+	const dim, T = 2400, 400
+	cfg := dataset.URLConfig{
+		Dim: dim, GroupSize: 3, Groups: dim / 3, ActiveGroups: 2,
+		FireProb: 0.95, BackgroundNZ: 2, Seed: 17,
+	}
+	src, err := cfg.NewSource(T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := stream.Drain(src)
+	offered := make(map[uint64]bool)
+	for _, s := range samples {
+		for i, a := range s.Idx {
+			for _, b := range s.Idx[i+1:] {
+				offered[pairs.Key(a, b, dim)] = true
+			}
+		}
+	}
+	for _, kind := range []Kind{KindCS, KindASCS, KindASketch, KindColdFilter} {
+		for _, lambda := range []float64{0, 1, 0.999} {
+			label := fmt.Sprintf("%s λ=%v", kind, lambda)
+			build := func() *Manager {
+				spec := EngineSpec{
+					Kind:   kind,
+					Sketch: countsketch.Config{Tables: 5, Range: 1 << 10, Seed: 3},
+					T:      T,
+					Lambda: lambda,
+				}
+				if kind == KindASCS {
+					spec.Schedule = core.Hyperparams{T0: 40, Theta: 0.05, Tau0: 1e-5, T: T}
+				}
+				m, err := New(Config{Dim: dim, Shards: 3, FlushOps: 61, TrackCandidates: 32, Engine: spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			scalar, wave := build(), build()
+			setWaveGroup(t, scalar, 1)
+			for lo := 0; lo < len(samples); lo += 37 {
+				hi := min(lo+37, len(samples))
+				if _, _, err := scalar.Ingest(samples[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := wave.Ingest(samples[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := scalar.TopKMagnitude(12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wt, err := wave.TopKMagnitude(12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st) != len(wt) {
+				t.Fatalf("%s: top-k lengths %d vs %d", label, len(st), len(wt))
+			}
+			for i := range st {
+				if st[i] != wt[i] {
+					t.Fatalf("%s rank %d: scalar %+v != wave %+v", label, i, st[i], wt[i])
+				}
+			}
+			for key := range offered {
+				se, err := scalar.EstimateKey(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				we, err := wave.EstimateKey(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(se) != math.Float64bits(we) {
+					t.Fatalf("%s key %d: scalar %v != wave %v", label, key, se, we)
+				}
+			}
+			sst, err := scalar.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wst, err := wave.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sst.Ops != wst.Ops {
+				t.Fatalf("%s: op counts diverge: %d vs %d", label, sst.Ops, wst.Ops)
+			}
+			var pruned, refused uint64
+			for i, s := range sst.PerShard {
+				h, w := s.Health, wst.PerShard[i].Health
+				if h.TrackerPruned != w.TrackerPruned || h.TrackerRefused != w.TrackerRefused {
+					t.Fatalf("%s shard %d: tracker pruned/refused scalar %d/%d, wave %d/%d",
+						label, i, h.TrackerPruned, h.TrackerRefused, w.TrackerPruned, w.TrackerRefused)
+				}
+				pruned += h.TrackerPruned
+				refused += h.TrackerRefused
+			}
+			if pruned == 0 || refused == 0 {
+				t.Fatalf("%s: trackers pruned %d and refused %d offers; the stream must exercise both", label, pruned, refused)
+			}
+			scalar.Close()
+			wave.Close()
+		}
+	}
+}
+
+// TestApplyLateStepsMatchesPerPair applies hand-built batches on a live
+// worker: one whose runs all belong to steps below the worker's lastT
+// (a request that routed after a later one was applied), and one that
+// mixes late runs with a new step. Each must leave the engine, the
+// tracker and the op count exactly as the per-run reference does — a
+// beginStep only for a run ahead of lastT, then one OfferEstimate and
+// one tracker offer per pair.
+func TestApplyLateStepsMatchesPerPair(t *testing.T) {
+	const dim, T = 64, 400
+	rng := rand.New(rand.NewSource(5))
+	samples := make([]stream.Sample, 100)
+	for i := range samples {
+		row := make([]float64, dim)
+		for j := range row {
+			if rng.Float64() < 0.2 {
+				row[j] = rng.NormFloat64()
+			}
+		}
+		samples[i] = stream.FromDense(row)
+	}
+	batch := func(steps ...int) *rowBatch {
+		b := &rowBatch{}
+		for _, st := range steps {
+			a := rng.Intn(dim - 1)
+			base := uint64(pairs.RowBase(a, dim))
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				b.add(base, st, uint64(a+1+rng.Intn(dim-a-1)), rng.NormFloat64())
+			}
+		}
+		return b
+	}
+	state := func(w *worker) []byte {
+		var buf bytes.Buffer
+		if _, err := w.eng.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "|lastT=%d ops=%d pruned=%d refused=%d", w.lastT, w.ops, w.track.Pruned(), w.track.Refused())
+		w.track.Each(func(key uint64, score float64) { fmt.Fprintf(&buf, "|%d:%x", key, math.Float64bits(score)) })
+		key, score, ok := w.track.Floor()
+		fmt.Fprintf(&buf, "|floor %d:%x:%v", key, math.Float64bits(score), ok)
+		return buf.Bytes()
+	}
+	for _, kind := range []Kind{KindCS, KindASCS, KindASketch, KindColdFilter} {
+		for _, lambda := range []float64{0, 0.99} {
+			for _, steps := range [][]int{{90, 90, 37, 37, 37, 12, 99}, {97, 98, 98, 101, 60, 101, 102, 102, 5}} {
+				label := fmt.Sprintf("%s λ=%v steps %v", kind, lambda, steps)
+				b := batch(steps...)
+				spec := EngineSpec{
+					Kind:   kind,
+					Sketch: countsketch.Config{Tables: 5, Range: 1 << 8, Seed: 9},
+					T:      T,
+					Lambda: lambda,
+				}
+				if kind == KindASCS {
+					spec.Schedule = core.Hyperparams{T0: 30, Theta: 0.05, Tau0: 1e-5, T: T}
+				}
+				var got, want []byte
+				for _, ref := range []bool{false, true} {
+					m, err := New(Config{Dim: dim, Shards: 1, TrackCandidates: 8, Engine: spec})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := m.Ingest(samples); err != nil {
+						t.Fatal(err)
+					}
+					err = m.execAll(context.Background(), ConsistencyFresh, nil, func(w *worker) {
+						if !ref {
+							w.apply(b)
+							got = state(w)
+							return
+						}
+						o := 0
+						for _, h := range b.hdrs {
+							if h.t > w.lastT {
+								w.beginStep(h.t)
+							}
+							for i, p := range b.prt[o : o+h.n] {
+								est, _ := w.row.OfferEstimate(h.base+p, b.xs[o+i])
+								w.track.Offer(h.base+p, math.Abs(est))
+							}
+							o += h.n
+							w.ops += uint64(h.n)
+						}
+						want = state(w)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.Close()
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: step-packed apply diverges from the per-pair reference", label)
+				}
+			}
+		}
 	}
 }
