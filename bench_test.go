@@ -765,30 +765,38 @@ func BenchmarkShardIngest(b *testing.B) {
 			b.ReportMetric(float64(d*(d-1)/2), "offers/op")
 		})
 	}
-	b.Run("sparse-ascs", benchShardIngestSparse)
+	b.Run("sparse-ascs", func(b *testing.B) { benchShardIngestSparse(b, 0) })
+	b.Run("sparse-ascs-std", func(b *testing.B) { benchShardIngestSparse(b, 2000) })
 }
 
 // benchShardIngestSparse is BenchmarkShardIngest at the served sparse
 // shape: URL-like samples (d = 100 000, ~14.5 nonzeros, so each sample's
 // ~100 pairs form ~13 short rows) through an ASCS manager with 2
-// shards. An op is one sample; ns/pair is per offered pair, and
-// pairs/group is the wave groups' mean occupancy (ops ÷ wave_groups
-// from Stats), which shows whether a shard's short row runs are packed
-// into full groups.
-func benchShardIngestSparse(b *testing.B) {
+// shards. An op is one sample; ns/pair is per routed pair, and
+// pairs/group is the wave groups' mean occupancy (nonzero pairs ÷
+// wave_groups from Stats), which shows whether a shard's short row
+// runs are packed into full groups.
+//
+// With warmup > 0 the manager standardizes, as ascsd does: it fits the
+// scales on the first warmup samples (ingested before the timer
+// starts, and never timed again), so every feature absent from them
+// scales to zero, and zero/pair is the share of the timed pairs whose
+// increment was zero and so skipped the engine and the tracker. With
+// warmup = 0 every value is 1 and no increment is zero.
+func benchShardIngestSparse(b *testing.B, warmup int) {
 	const d = 100_000
 	cfg := dataset.URLConfig{
 		Dim: d, GroupSize: 3, Groups: d / 3, ActiveGroups: 3,
 		FireProb: 0.95, BackgroundNZ: 6, Seed: 1,
 	}
-	src, err := cfg.NewSource(4096)
+	src, err := cfg.NewSource(warmup + 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
 	samples := stream.Drain(src)
-	T := b.N + 1
+	T := warmup + b.N + 1
 	mgr, err := shard.New(shard.Config{
-		Dim: d, Shards: 2,
+		Dim: d, Shards: 2, Warmup: warmup, Standardize: warmup > 0,
 		Engine: shard.EngineSpec{
 			Kind:     shard.KindASCS,
 			Sketch:   countsketch.Config{Tables: 5, Range: 100_000, Seed: 1},
@@ -800,6 +808,27 @@ func benchShardIngestSparse(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer mgr.Close()
+	for lo := 0; lo < warmup; lo += 64 {
+		if _, _, err := mgr.Ingest(samples[lo:min(lo+64, warmup)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := mgr.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	totals := func() (ops, zeros, groups uint64) {
+		st, err := mgr.Stats()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range st.PerShard {
+			ops += s.Ops
+			zeros += s.ZeroIncrements
+			groups += s.Health.WaveGroups
+		}
+		return ops, zeros, groups
+	}
+	ops0, zeros0, groups0 := totals()
 	pairsIn := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -807,7 +836,7 @@ func benchShardIngestSparse(b *testing.B) {
 		hi := min(lo+64, b.N)
 		batch := make([]stream.Sample, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			s := samples[i%len(samples)]
+			s := samples[warmup+i%4096]
 			batch = append(batch, s)
 			pairsIn += s.NNZ() * (s.NNZ() - 1) / 2
 		}
@@ -819,17 +848,14 @@ func benchShardIngestSparse(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	st, err := mgr.Stats()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var groups uint64
-	for _, s := range st.PerShard {
-		groups += s.Health.WaveGroups
-	}
+	ops, zeros, groups := totals()
+	ops, zeros, groups = ops-ops0, zeros-zeros0, groups-groups0
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairsIn), "ns/pair")
 	if groups > 0 {
-		b.ReportMetric(float64(st.Ops)/float64(groups), "pairs/group")
+		b.ReportMetric(float64(ops-zeros)/float64(groups), "pairs/group")
+	}
+	if warmup > 0 && ops > 0 {
+		b.ReportMetric(float64(zeros)/float64(ops), "zero/pair")
 	}
 }
 

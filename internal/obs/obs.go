@@ -79,6 +79,11 @@ const (
 	ShardBatches = iota
 	// ShardOps counts applied pair increments.
 	ShardOps
+	// ShardZeroIncrements counts the applied pair increments that were
+	// exactly zero and so skipped the engine and the tracker (a subset
+	// of ShardOps): on a standardized stream, the pairs of features the
+	// warm-up scaled to zero.
+	ShardZeroIncrements
 	// ShardLaneJumps counts fast-lane closures served ahead of queued
 	// ingest (the priority lane actually jumping the FIFO).
 	ShardLaneJumps
@@ -164,11 +169,12 @@ const (
 var ShardDefs = [NumShardCounters]Def{
 	ShardBatches:            {Name: "ascs_shard_ingest_batches_total", Kind: Counter, Help: "Ingest batches applied by the shard worker."},
 	ShardOps:                {Name: "ascs_shard_ops_total", Kind: Counter, Help: "Pair increments applied by the shard worker."},
+	ShardZeroIncrements:     {Name: "ascs_shard_zero_increments_total", Kind: Counter, Help: "Applied pair increments that were exactly zero and skipped the engine and tracker (a subset of the ops total)."},
 	ShardLaneJumps:          {Name: "ascs_shard_lane_jumps_total", Kind: Counter, Help: "Fast-lane queries served ahead of queued ingest batches."},
 	ShardQueueHighWater:     {Name: "ascs_shard_queue_high_water", Kind: Gauge, Help: "Deepest ingest FIFO backlog observed at enqueue (batches)."},
 	ShardFastQueueHighWater: {Name: "ascs_shard_fast_queue_high_water", Kind: Gauge, Help: "Deepest priority-lane backlog observed at enqueue."},
-	ShardGateOffered:        {Name: "ascs_gate_offered_total", Kind: Counter, Help: "Sampling-period offers presented to the admission gate."},
-	ShardGateAdmitted:       {Name: "ascs_gate_admitted_total", Kind: Counter, Help: "Sampling-period offers the admission gate passed."},
+	ShardGateOffered:        {Name: "ascs_gate_offered_total", Kind: Counter, Help: "Sampling-period nonzero offers presented to the admission gate."},
+	ShardGateAdmitted:       {Name: "ascs_gate_admitted_total", Kind: Counter, Help: "Sampling-period nonzero offers the admission gate passed."},
 	ShardExplorationInserts: {Name: "ascs_exploration_inserts_total", Kind: Counter, Help: "Exploration-period inserts (pre-T0, gate admits all)."},
 	ShardAdmittedMass:       {Name: "ascs_gate_admitted_mass_total", Kind: Counter, Help: "Sum of |x| over inserted offers.", Float: true},
 	ShardRejectedMass:       {Name: "ascs_gate_rejected_mass_total", Kind: Counter, Help: "Sum of |x| over gated-out offers.", Float: true},

@@ -60,7 +60,11 @@ func TestMetricsExposition(t *testing.T) {
 		Engine:          shard.EngineSpec{Kind: shard.KindCS, Sketch: countsketch.Config{Tables: 3, Range: 512, Seed: 5}, T: 10_000},
 	}, server.Options{})
 
-	resp, body := postJSON(t, ts.URL+"/v1/ingest", wireSamples(promSamples(d, n)))
+	// One explicit zero value makes two of the sample's three pair
+	// increments exactly zero, so the zero-increment counter reads 2.
+	samples := promSamples(d, n)
+	samples[0].Val = []float64{0, -0.5, 2}
+	resp, body := postJSON(t, ts.URL+"/v1/ingest", wireSamples(samples))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
 	}
@@ -97,6 +101,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE ascs_http_deadline_exceeded_total counter",
 		"# TYPE ascs_shard_apply_seconds histogram",
 		"# TYPE ascs_shard_ops_total counter",
+		"# TYPE ascs_shard_zero_increments_total counter",
+		`ascs_shard_zero_increments_total{shard="1"}`,
 		"# TYPE ascs_shard_fold_level gauge",
 		"# TYPE ascs_shard_folds_total counter",
 		"# TYPE ascs_shard_unfolds_total counter",
@@ -125,6 +131,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := fams["ascs_shard_ops_total"].Sum; got != float64(3*n) {
 		t.Errorf("ascs_shard_ops_total sums to %v, want %d", got, 3*n)
+	}
+	if got := fams["ascs_shard_zero_increments_total"].Sum; got != 2 {
+		t.Errorf("ascs_shard_zero_increments_total sums to %v, want 2", got)
 	}
 	// Floor refusals are a subset of the offers the trackers did not keep.
 	if pruned, refused := fams["ascs_topk_tracker_pruned_total"].Sum, fams["ascs_topk_tracker_refused_total"].Sum; refused == 0 || refused > pruned {

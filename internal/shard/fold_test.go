@@ -192,6 +192,10 @@ func TestTelemetryBaselinePersistence(t *testing.T) {
 	if _, _, err := m.Ingest(foldSamples(200)); err != nil {
 		t.Fatal(err)
 	}
+	// Two zero increments, so the zero counter has a baseline to carry.
+	if _, _, err := m.Ingest([]stream.Sample{{Idx: []int{0, 1, 2}, Val: []float64{0, 1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,15 +225,19 @@ func TestTelemetryBaselinePersistence(t *testing.T) {
 	if man.Telemetry.ShedRequests != 7 || man.Telemetry.DeadlineOps != 11 || man.Telemetry.DeadlineQueries != 3 {
 		t.Fatalf("manifest baselines %+v, want shed=7 deadlineOps=11 deadlineQueries=3", man.Telemetry)
 	}
-	var batches uint64
+	var batches, zeros uint64
 	for _, sb := range man.Telemetry.Shards {
 		batches += sb.Batches
+		zeros += sb.ZeroIncrements
 		if sb.TrackerRefused == 0 || sb.TrackerPruned <= sb.TrackerRefused {
 			t.Fatalf("manifest tracker baseline pruned=%d refused=%d, want 0 < refused < pruned", sb.TrackerPruned, sb.TrackerRefused)
 		}
 	}
 	if batches == 0 {
 		t.Fatal("manifest shard baselines carry no applied batches")
+	}
+	if zeros != 2 {
+		t.Fatalf("manifest shard baselines carry %d zero increments, want 2", zeros)
 	}
 
 	restored, err := Restore(dir)
@@ -252,6 +260,9 @@ func TestTelemetryBaselinePersistence(t *testing.T) {
 		if h.TrackerPruned != sb.TrackerPruned || h.TrackerRefused != sb.TrackerRefused {
 			t.Fatalf("shard %d restored tracker counters %d/%d, want the baseline %d/%d",
 				i, h.TrackerPruned, h.TrackerRefused, sb.TrackerPruned, sb.TrackerRefused)
+		}
+		if z := st.PerShard[i].ZeroIncrements; z != sb.ZeroIncrements {
+			t.Fatalf("shard %d restored zero increments %d, want the baseline %d", i, z, sb.ZeroIncrements)
 		}
 		tel := &restored.Tel(i).Snap
 		if got := tel.Load(obs.ShardTrackerPruned); got != sb.TrackerPruned {

@@ -416,7 +416,10 @@ type worker struct {
 	row   sketchapi.RowOfferer // eng's ingest and batch-read path (required, see rowEngine)
 	track *topk.Tracker
 	lastT int
+	// ops counts every routed pair increment; zeros counts the ones
+	// apply dropped because they were exactly ±0 (a subset of ops).
 	ops   uint64
+	zeros uint64
 
 	// Telemetry. tel is the shard's published counter block (may be nil
 	// in unit tests that build workers by hand); health and decayer cache
@@ -483,10 +486,12 @@ type worker struct {
 	// so the hot path stays lock-free and allocation-free.
 	lambda float64
 
-	// keys and ests are apply's step-packing scratch: the batch's
-	// materialized pair keys and the per-offer estimates the tracker
-	// scores from, grown to the largest batch seen and reused.
+	// keys, xs and ests are apply's step-packing scratch: the batch's
+	// materialized nonzero pair keys, their increments, and the
+	// per-offer estimates the tracker scores from, grown to the largest
+	// batch seen and reused.
 	keys []uint64
+	xs   []float64
 	ests []float64
 }
 
@@ -525,6 +530,7 @@ func (w *worker) publish() {
 	s := &tel.Snap
 	s.Store(obs.ShardBatches, w.batches)
 	s.Store(obs.ShardOps, w.ops)
+	s.Store(obs.ShardZeroIncrements, w.zeros)
 	s.Store(obs.ShardLaneJumps, w.laneJumps)
 	s.Store(obs.ShardStep, uint64(w.lastT))
 	s.Store(obs.ShardTracked, uint64(w.track.Len()))
@@ -748,31 +754,44 @@ func (w *worker) apply(b *rowBatch) {
 	// only at beginStep, and the tracker never feeds back into the
 	// engine, so a span's engine offers may all precede its tracker
 	// offers.
+	//
+	// Zero-increment skip (DESIGN.md): the pass that writes a span's keys
+	// and increments drops every pair whose increment is exactly ±0.
+	// Adding ±0 leaves a cell unchanged unless the cell is −0, so CS and
+	// ASCS tables are the ones the full offer would leave. Every span
+	// still begins its step, and ops still counts every routed pair.
 	n := b.pairs()
 	if cap(w.keys) < n {
 		w.keys = make([]uint64, n)
+		w.xs = make([]float64, n)
 		w.ests = make([]float64, n)
 	}
-	keys, ests := w.keys[:n], w.ests[:n]
+	keys, xs, ests := w.keys[:n], w.xs[:n], w.ests[:n]
 	o := 0
 	for i := 0; i < len(b.hdrs); {
 		if t := b.hdrs[i].t; t > w.lastT {
 			w.beginStep(t)
 		}
-		lo := o
+		lo, c := o, o // c: end of the span's surviving pairs
 		for ; i < len(b.hdrs) && b.hdrs[i].t <= w.lastT; i++ {
 			h := b.hdrs[i]
+			src := b.xs[o : o+h.n]
 			for j, p := range b.prt[o : o+h.n] {
-				keys[o+j] = h.base + p
+				if x := src[j]; x != 0 {
+					keys[c] = h.base + p
+					xs[c] = x
+					c++
+				}
 			}
 			o += h.n
 		}
+		w.zeros += uint64(o - c)
 		// The tracker reuses the per-offer estimates (one locate serves
 		// gate, insert, and score). Candidates are scored by the current
 		// |estimate| and rescored at query time, so keys the gate keeps
 		// admitting stay hot.
-		w.row.OfferPairs(keys[lo:o], b.xs[lo:o], ests[lo:o])
-		for j, key := range keys[lo:o] {
+		w.row.OfferPairs(keys[lo:c], xs[lo:c], ests[lo:c])
+		for j, key := range keys[lo:c] {
 			w.track.Offer(key, math.Abs(ests[lo+j]))
 		}
 	}
@@ -1836,7 +1855,7 @@ func (m *Manager) MergedSketch() (*countsketch.Sketch, error) {
 // the worker's pressure marks. Counts are cumulative since construction;
 // a restored manager resumes the ones its manifest's telemetry baseline
 // carries (batches, lane jumps, folds, unfolds, tracker pruned and
-// refused).
+// refused, and the shard's zero increments).
 type ShardHealth struct {
 	Batches   uint64 `json:"batches"`
 	LaneJumps uint64 `json:"lane_jumps"`
@@ -1877,6 +1896,10 @@ type ShardStats struct {
 	Bytes   int    `json:"bytes"`
 	Tracked int    `json:"tracked"`
 	Queue   int    `json:"queue"`
+	// ZeroIncrements counts the Ops that were exactly zero (on a
+	// standardized stream, pairs of features the warm-up scaled to
+	// zero) and so reached neither the engine nor the tracker.
+	ZeroIncrements uint64 `json:"zero_increments"`
 	// FastQueue is the priority-lane backlog (queries waiting to jump
 	// the ingest FIFO).
 	FastQueue int `json:"fast_queue,omitempty"`
@@ -1968,14 +1991,15 @@ func (m *Manager) StatsT(ctx context.Context, c Consistency, tr *QueryTrace) (St
 	var mu sync.Mutex
 	err := m.execAll(ctx, m.lane(c), tr, func(w *worker) {
 		s := ShardStats{
-			Shard:     w.id,
-			Engine:    w.eng.Name(),
-			Step:      w.lastT,
-			Ops:       w.ops,
-			Bytes:     w.eng.Bytes(),
-			Tracked:   w.track.Len(),
-			Queue:     len(w.ch),
-			FastQueue: len(w.qch),
+			Shard:          w.id,
+			Engine:         w.eng.Name(),
+			Step:           w.lastT,
+			Ops:            w.ops,
+			ZeroIncrements: w.zeros,
+			Bytes:          w.eng.Bytes(),
+			Tracked:        w.track.Len(),
+			Queue:          len(w.ch),
+			FastQueue:      len(w.qch),
 		}
 		pruned, refused := w.trackerCounts()
 		s.Health = ShardHealth{

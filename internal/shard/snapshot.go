@@ -143,6 +143,7 @@ type shardBaseline struct {
 	Unfolds        uint64 `json:"unfolds,omitempty"`
 	TrackerPruned  uint64 `json:"tracker_pruned,omitempty"`
 	TrackerRefused uint64 `json:"tracker_refused,omitempty"`
+	ZeroIncrements uint64 `json:"zero_increments,omitempty"`
 }
 
 // telemetryBaseline aggregates the restorable cumulative telemetry:
@@ -220,7 +221,7 @@ func (m *Manager) Snapshot(dir string) error {
 		man.Files[w.id] = shardFileInfo{Name: filepath.Base(path), Bytes: size, CRC32C: crc}
 		pruned, refused := w.trackerCounts()
 		bases[w.id] = shardBaseline{Batches: w.batches, LaneJumps: w.laneJumps, Folds: w.folds, Unfolds: w.unfolds,
-			TrackerPruned: pruned, TrackerRefused: refused}
+			TrackerPruned: pruned, TrackerRefused: refused, ZeroIncrements: w.zeros}
 		// The closure runs on the worker goroutine after every batch
 		// enqueued before the cut, so walLast is exactly the highest log
 		// sequence whose effect this blob contains.
@@ -589,6 +590,7 @@ func RestoreWith(dir string, o RestoreOverrides) (*Manager, error) {
 			w.batches, w.laneJumps = b.Batches, b.LaneJumps
 			w.folds, w.unfolds = b.Folds, b.Unfolds
 			w.prunedBase, w.refusedBase = b.TrackerPruned, b.TrackerRefused
+			w.zeros = b.ZeroIncrements
 		}
 		w.foldSetup(cfg.FoldIdle, cfg.FoldIdleTicks, cfg.FoldLevels)
 		w.wire(m.tels[i])

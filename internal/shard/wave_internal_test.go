@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/pairs"
 	"repro/internal/sketchapi"
 	"repro/internal/stream"
@@ -384,6 +385,189 @@ func TestApplyLateStepsMatchesPerPair(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s: step-packed apply diverges from the per-pair reference", label)
 				}
+			}
+		}
+	}
+}
+
+// TestApplyZeroIncrementSkip pins the worker's zero-increment skip on a
+// standardized URL-like stream: most features are absent from the
+// warm-up prefix, so the frozen standardizer scales them to zero and
+// most routed pairs carry an exactly-zero increment. For every engine
+// kind, fixed-horizon and decayed, at the default wave group and on the
+// scalar loop, a 2-shard manager runs beside a reference that offers
+// every pair, one OfferEstimate at a time, to engines built from the
+// manager's spec, with the same beginStep sequence. For CS and ASCS the
+// merged sketch must be bit-identical to the reference's; for CS, ASCS
+// and Cold Filter so must the estimate of every offered key (zero ones
+// included). ASketch is exempt from both, since it no longer runs
+// filter promotion on zero offers. For every kind, ops must still count
+// every routed pair, each shard must reach the reference's step, the
+// zero counter must count exactly the zero increments, and no tracked
+// candidate may be a key that only ever received zeros.
+func TestApplyZeroIncrementSkip(t *testing.T) {
+	const (
+		d      = 6000
+		n      = 900
+		warmup = 100
+	)
+	cfg := dataset.URLConfig{
+		Dim: d, GroupSize: 3, Groups: d / 3, ActiveGroups: 3,
+		FireProb: 0.95, BackgroundNZ: 6, Seed: 11,
+	}
+	src, err := cfg.NewSource(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := stream.Drain(src)
+	var wantOps uint64
+	for _, s := range samples {
+		wantOps += uint64(len(s.Idx) * (len(s.Idx) - 1) / 2)
+	}
+	for _, kind := range []Kind{KindCS, KindASCS, KindColdFilter, KindASketch} {
+		mergeable := kind == KindCS || kind == KindASCS
+		sameEstimates := kind != KindASketch
+		for _, lambda := range []float64{0, 0.999} {
+			for _, g := range []int{0, 1} {
+				label := fmt.Sprintf("%s λ=%v group=%d", kind, lambda, g)
+				m, err := New(Config{
+					Dim: d, Shards: 2, Warmup: warmup, Standardize: true,
+					// More candidates than a shard sees keys: every key
+					// the worker offers stays tracked, so a zero key that
+					// reached the tracker would still be there.
+					TrackCandidates: 1 << 16,
+					Engine: EngineSpec{Kind: kind, Sketch: countsketch.Config{Tables: 5, Range: 1 << 12, Seed: 5},
+						T: n, Lambda: lambda},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := m.Ingest(samples[:warmup]); err != nil {
+					t.Fatal(err)
+				}
+				if g > 0 {
+					setWaveGroup(t, m, g)
+				}
+				for lo := warmup; lo < n; lo += 64 {
+					if _, _, err := m.Ingest(samples[lo:min(lo+64, n)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.Flush(); err != nil {
+					t.Fatal(err)
+				}
+
+				// The reference: every pair offered, in route's order.
+				refs := make([]sketchapi.RowOfferer, 2)
+				for i := range refs {
+					eng, err := m.spec.build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if refs[i], err = rowEngine(eng); err != nil {
+						t.Fatal(err)
+					}
+				}
+				refLast := make([]int, 2)
+				refZeros := make([]uint64, 2)
+				// nonzero holds every offered key: whether it ever
+				// received a nonzero increment.
+				nonzero := make(map[uint64]bool)
+				for k, s := range samples {
+					step := k + 1
+					for i := 0; i+1 < len(s.Idx); i++ {
+						ya := s.Val[i] * m.invStd[s.Idx[i]]
+						for j := i + 1; j < len(s.Idx); j++ {
+							key := uint64(pairs.RowBase(s.Idx[i], d)) + uint64(s.Idx[j])
+							x := ya * (s.Val[j] * m.invStd[s.Idx[j]])
+							sh := m.shardOf(key)
+							if step > refLast[sh] {
+								refs[sh].BeginStep(step)
+								refLast[sh] = step
+							}
+							refs[sh].OfferEstimate(key, x)
+							nonzero[key] = nonzero[key] || x != 0
+							if x == 0 {
+								refZeros[sh]++
+							}
+						}
+					}
+				}
+				if refZeros[0]+refZeros[1] < wantOps/2 {
+					t.Fatalf("%s: only %d of %d increments are zero; the stream must be mostly zero-scaled", label, refZeros[0]+refZeros[1], wantOps)
+				}
+
+				if mergeable {
+					got, err := m.MergedSketch()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want *countsketch.Sketch
+					for _, r := range refs {
+						c := r.(sketcher).Sketch().Clone()
+						c.Renormalize()
+						if want == nil {
+							want = c
+						} else if err := want.Merge(c); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var bg, bw bytes.Buffer
+					if _, err := got.WriteTo(&bg); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := want.WriteTo(&bw); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(bg.Bytes(), bw.Bytes()) {
+						t.Fatalf("%s: merged sketch diverges from the every-pair reference", label)
+					}
+				}
+				if sameEstimates {
+					for key, nz := range nonzero {
+						ge, err := m.EstimateKey(key)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if we := refs[m.shardOf(key)].Estimate(key); math.Float64bits(ge) != math.Float64bits(we) {
+							t.Fatalf("%s key %d (nonzero %v): estimate %v, reference %v", label, key, nz, ge, we)
+						}
+					}
+				}
+				zeroKeys := make([]int, 2)
+				err = m.execAll(context.Background(), ConsistencyFresh, nil, func(w *worker) {
+					w.track.Each(func(key uint64, _ float64) {
+						if !nonzero[key] {
+							zeroKeys[w.id]++
+						}
+					})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if zeroKeys[0]+zeroKeys[1] > 0 {
+					t.Fatalf("%s: %d tracked candidates only ever received zero increments", label, zeroKeys[0]+zeroKeys[1])
+				}
+
+				st, err := m.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Ops != wantOps {
+					t.Fatalf("%s: ops %d, want every routed pair (%d)", label, st.Ops, wantOps)
+				}
+				for i, s := range st.PerShard {
+					if s.Step != refLast[i] {
+						t.Fatalf("%s shard %d: step %d, reference %d", label, i, s.Step, refLast[i])
+					}
+					if s.ZeroIncrements != refZeros[i] {
+						t.Fatalf("%s shard %d: zero increments %d, reference %d", label, i, s.ZeroIncrements, refZeros[i])
+					}
+					if got := m.Tel(i).Snap.Load(obs.ShardZeroIncrements); got != refZeros[i] {
+						t.Fatalf("%s shard %d: published zero increments %d, reference %d", label, i, got, refZeros[i])
+					}
+				}
+				m.Close()
 			}
 		}
 	}
