@@ -258,7 +258,7 @@ func (e *Estimator) finishWarmup() error {
 		scaled[i] = e.scale(s)
 	}
 
-	var eng sketchapi.Ingestor
+	var eng sketchapi.Engine
 	skCfg := countsketch.Config{Tables: cfg.Tables, Range: cfg.Range, Seed: cfg.Seed}
 	switch cfg.Engine {
 	case EngineCS:
@@ -296,7 +296,7 @@ func (e *Estimator) finishWarmup() error {
 		}
 		warm, err := covstream.Warmup(stream.NewSliceSource(scaled, cfg.Dim), len(scaled),
 			countsketch.Config{Tables: cfg.Tables, Range: rWarm, Seed: cfg.Seed ^ 0x9c3},
-			covstream.SecondMoment, 0, int64(cfg.Seed))
+			0, int64(cfg.Seed))
 		if err != nil {
 			return err
 		}
@@ -312,8 +312,7 @@ func (e *Estimator) finishWarmup() error {
 	}
 
 	inner, err := covstream.New(covstream.Config{
-		Dim: cfg.Dim, T: cfg.Samples, Engine: eng,
-		Mode: covstream.SecondMoment, TrackCandidates: cfg.TrackCandidates,
+		Dim: cfg.Dim, T: cfg.Samples, Engine: eng, TrackCandidates: cfg.TrackCandidates,
 	})
 	if err != nil {
 		return err

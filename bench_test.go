@@ -431,71 +431,24 @@ func TestWaveOfferPairsZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkIngestOfferRowsWave* is the row-wave path: one OfferRows
-// call per upper triangle with m(m−1)/2 ≈ benchKeys pairs, so the
-// engine expands base+partner keys internally into the same wave
-// pipeline (ns/op is still ns per offered pair; x = left·right = 1e6
-// matches the pair arms).
-func BenchmarkIngestOfferRowsWaveASCS(b *testing.B) { benchIngestOfferRows(b, true) }
-func BenchmarkIngestOfferRowsWaveCS(b *testing.B)   { benchIngestOfferRows(b, false) }
-
-// rowTriangle builds the OfferRows arguments of an upper triangle whose
-// pair keys enumerate exactly [0, m(m−1)/2) — the primed working set —
-// with every product left·right = 1e6.
-func rowTriangle(m int) (bases, ids []uint64, left, right []float64) {
-	bases = make([]uint64, m-1)
-	left = make([]float64, m-1)
-	ids = make([]uint64, m)
-	right = make([]float64, m)
-	for i := range bases {
-		bases[i] = uint64(pairs.RowBase(i, m))
-		left[i] = 1000
-	}
-	for j := range ids {
-		ids[j] = uint64(j)
-		right[j] = 1000
-	}
-	return bases, ids, left, right
-}
-
-func benchIngestOfferRows(b *testing.B, schedule bool) {
-	// Smallest m whose triangle covers the benchKeys working set.
-	m := 2
-	for m*(m-1)/2 < benchKeys {
-		m++
-	}
-	p := m * (m - 1) / 2
-	ms := newSamplingMeanSketchKeys(b, schedule, p)
-	bases, ids, left, right := rowTriangle(m)
-	ests := make([]float64, p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; done += p {
-		ms.OfferRows(bases, ids, left, right, ests)
-	}
-}
-
 // TestRowWaveOfferZeroAllocs guards the row path's scratch discipline
 // at the engine layer: once the wave scratch exists, steady-state
-// OfferRow and OfferRows — key expansion included — allocate nothing,
-// for ASCS and CS alike.
+// OfferRow — key expansion included — allocates nothing, for ASCS and
+// CS alike.
 func TestRowWaveOfferZeroAllocs(t *testing.T) {
-	const m = 46 // triangle of 1035 pairs ≈ the benchKeys working set
-	p := m * (m - 1) / 2
+	const m = 46 // row of 45 partners, inside the benchKeys working set
 	for _, schedule := range []bool{true, false} {
-		ms := newSamplingMeanSketchKeys(t, schedule, p)
-		bases, ids, left, right := rowTriangle(m)
-		ests := make([]float64, p)
-		partners := ids[1:]
-		rowEsts := make([]float64, len(partners))
-		ms.OfferRows(bases, ids, left, right, ests) // builds the lazy wave scratch
-		if avg := testing.AllocsPerRun(50, func() {
-			ms.OfferRows(bases, ids, left, right, ests)
-		}); avg != 0 {
-			t.Fatalf("schedule=%v: OfferRows allocates %.1f per triangle; row expansion scratch is not being reused", schedule, avg)
+		ms := newSamplingMeanSketchKeys(t, schedule, m*(m-1)/2)
+		partners := make([]uint64, m-1)
+		xs := make([]float64, m-1)
+		for j := range partners {
+			partners[j] = uint64(j + 1)
+			xs[j] = 1e6
 		}
+		rowEsts := make([]float64, len(partners))
+		ms.OfferRow(0, partners, xs, rowEsts) // builds the lazy wave scratch
 		if avg := testing.AllocsPerRun(50, func() {
-			ms.OfferRow(bases[0], partners, right[1:], rowEsts)
+			ms.OfferRow(0, partners, xs, rowEsts)
 		}); avg != 0 {
 			t.Fatalf("schedule=%v: OfferRow allocates %.1f per row", schedule, avg)
 		}

@@ -15,7 +15,7 @@
 //     count sketch — gate Estimate, Add, tracker Estimate (three hash
 //     phases for ASCS, two for CS). This is the "before" number and
 //     stays reproducible after the fused paths land.
-//   - percall: engine Offer through the Ingestor interface plus the
+//   - percall: engine Offer through the Engine interface plus the
 //     separate tracker Estimate (Offer is internally fused, so this
 //     costs two hash phases).
 //   - fused: OfferEstimate — one hash phase serves gate, insert, and
@@ -33,15 +33,6 @@
 //     gate/scatter) that overlaps the per-pair table-cell misses.
 //   - wave-decay: the wave arm on a decayed engine (same contract as
 //     batch-decay: within noise of wave, 0 allocs/pair).
-//   - row: OfferRows over an upper triangle covering the same primed
-//     working set, wave group pinned to 1 — the row API with the scalar
-//     loop, isolating the per-pair win of shipping one base per row
-//     instead of one key per pair.
-//   - row-wave: OfferRows at the default wave group — rows expand into
-//     wave groups packed across row boundaries, and group hashing runs
-//     through the AVX2 slot-fill kernel where the host supports it.
-//   - row-wave-decay: the row-wave arm on a decayed engine (same
-//     contract as the other *-decay arms).
 //
 // The -sweepranges flag additionally runs a batch-vs-wave sweep across
 // table ranges from cache-resident to DRAM-resident (working set
@@ -77,7 +68,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/hashing"
-	"repro/internal/pairs"
 	"repro/internal/shard"
 	"repro/internal/sketchapi"
 	"repro/internal/stream"
@@ -108,7 +98,7 @@ type EnvInfo struct {
 	Caches   []string `json:"caches,omitempty"`
 	// CPUFeatures lists the ISA extensions the hashing kernels detected
 	// and will actually use (e.g. avx2, bmi2). Empty means the pure-Go
-	// fallbacks ran, so kernel-sensitive numbers (row-wave, wave) are
+	// fallbacks ran, so kernel-sensitive numbers (wave) are
 	// not comparable with files from vectorized hosts.
 	CPUFeatures []string `json:"cpu_features,omitempty"`
 }
@@ -189,10 +179,8 @@ type SweepPoint struct {
 	TableBytes   int64    `json:"table_bytes"`
 	TouchedBytes int64    `json:"touched_bytes_approx"`
 	Results      []Result `json:"results"`
-	// WaveSpeedup is batch ns/pair ÷ wave ns/pair at this range;
-	// RowWaveSpeedup is batch ns/pair ÷ row-wave ns/pair.
-	WaveSpeedup    float64 `json:"wave_speedup"`
-	RowWaveSpeedup float64 `json:"row_wave_speedup"`
+	// WaveSpeedup is batch ns/pair ÷ wave ns/pair at this range.
+	WaveSpeedup float64 `json:"wave_speedup"`
 }
 
 // FoldPoint is one level of the -foldsweep arm: the serialized size of
@@ -278,12 +266,10 @@ func main() {
 			"gather → gate/scatter); the *-decay arms run the same loop on an exponential-decay " +
 			"(unbounded window) engine with one step advance per chunk so the lazy aging tick " +
 			"is included — they must track their fixed arms within noise at 0 allocs/pair; " +
-			"range_sweep compares batch vs wave vs row-wave from cache-resident to DRAM-resident " +
+			"range_sweep compares batch vs wave from cache-resident to DRAM-resident " +
 			"tables (working set scaled with the range) — the miss-bound regime is where the wave " +
-			"pipeline's overlapped loads pay; the row arms drive OfferRows over an upper triangle " +
-			"covering the same primed key range (x = left·right = 1e6, matching the pair arms), " +
-			"with row-wave additionally exercising the vectorized slot-fill kernel when " +
-			"env.cpu_features lists avx2",
+			"pipeline's overlapped loads pay; group hashing runs the vectorized slot-fill kernel " +
+			"when env.cpu_features lists avx2",
 	}
 	report.Env.CPUModel, report.Env.CPUCache = readCPUInfo()
 	report.Env.Caches = readSysCaches()
@@ -297,14 +283,14 @@ func main() {
 
 	for _, engine := range strings.Split(*engines, ",") {
 		engine = strings.TrimSpace(engine)
-		for _, mode := range []string{"legacy", "percall", "fused", "batch", "batch-decay", "wave", "wave-decay", "row", "row-wave", "row-wave-decay"} {
+		for _, mode := range []string{"legacy", "percall", "fused", "batch", "batch-decay", "wave", "wave-decay"} {
 			res := runMode(engine, mode, *tables, *rng, *nkeys, *chunk, *benchtime)
 			log.Printf("%-4s %-10s %2d hash phase(s): %7.1f ns/pair (%.3e pairs/s, %.2f allocs/pair)",
 				res.Engine, res.Mode, res.HashPhases, res.NsPerPair, res.PairsPerSec, res.AllocsPerPair)
 			report.Results = append(report.Results, res)
 		}
 		base := findResult(report.Results, engine, "legacy")
-		for _, mode := range []string{"fused", "batch", "batch-decay", "wave", "wave-decay", "row", "row-wave", "row-wave-decay"} {
+		for _, mode := range []string{"fused", "batch", "batch-decay", "wave", "wave-decay"} {
 			if r := findResult(report.Results, engine, mode); r != nil && base != nil && base.NsPerPair > 0 {
 				report.Speedups = append(report.Speedups, SpeedupEntry{
 					Engine: engine, Mode: mode, Baseline: "legacy",
@@ -346,7 +332,7 @@ func main() {
 				TableBytes:   int64(*tables) * int64(r) * 8,
 				TouchedBytes: int64(*tables) * int64(wkeys) * 8,
 			}
-			for _, mode := range []string{"batch", "wave", "row-wave"} {
+			for _, mode := range []string{"batch", "wave"} {
 				res := runMode(*sweepEngine, mode, *tables, r, wkeys, *chunk, *benchtime)
 				log.Printf("sweep R=2^%-2d keys=%-8d %-8s: %7.1f ns/pair (%.3e pairs/s, %.2f allocs/pair)",
 					pow, wkeys, res.Mode, res.NsPerPair, res.PairsPerSec, res.AllocsPerPair)
@@ -356,10 +342,6 @@ func main() {
 			if w := findResult(pt.Results, *sweepEngine, "wave"); b != nil && w != nil && w.NsPerPair > 0 {
 				pt.WaveSpeedup = b.NsPerPair / w.NsPerPair
 				log.Printf("sweep R=2^%-2d wave vs batch: %.2fx", pow, pt.WaveSpeedup)
-			}
-			if rw := findResult(pt.Results, *sweepEngine, "row-wave"); b != nil && rw != nil && rw.NsPerPair > 0 {
-				pt.RowWaveSpeedup = b.NsPerPair / rw.NsPerPair
-				log.Printf("sweep R=2^%-2d row-wave vs batch: %.2fx", pow, pt.RowWaveSpeedup)
 			}
 			report.RangeSweep = append(report.RangeSweep, pt)
 		}
@@ -410,10 +392,10 @@ const benchT = 1 << 30
 // newEngine builds the measured engine in its sampling phase with nkeys
 // primed, admitted keys. decayed selects the unbounded (λ-weighted)
 // construction.
-func newEngine(engine string, tables, rng, nkeys int, decayed bool) sketchapi.OfferEstimator {
+func newEngine(engine string, tables, rng, nkeys int, decayed bool) sketchapi.Engine {
 	cfg := countsketch.Config{Tables: tables, Range: rng, Seed: 1}
 	lambda := 1 - 1.0/benchT
-	var eng sketchapi.OfferEstimator
+	var eng sketchapi.Engine
 	switch engine {
 	case "ascs":
 		hp := core.Hyperparams{T0: 1, Theta: 0, Tau0: 1e-12, T: benchT}
@@ -459,7 +441,6 @@ func runMode(engine, mode string, tables, rng, nkeys, chunk int, benchtime time.
 	hashPhases := map[string]int{
 		"legacy": 3, "percall": 2, "fused": 1,
 		"batch": 1, "batch-decay": 1, "wave": 1, "wave-decay": 1,
-		"row": 1, "row-wave": 1, "row-wave-decay": 1,
 	}[mode]
 	if engine == "cs" && mode == "legacy" {
 		hashPhases = 2 // CS had no gate estimate: Add + tracker Estimate
@@ -480,12 +461,6 @@ func runMode(engine, mode string, tables, rng, nkeys, chunk int, benchtime time.
 		fn = func(b *testing.B) { benchBatch(b, engine, tables, rng, nkeys, chunk, false, 0) }
 	case "wave-decay":
 		fn = func(b *testing.B) { benchBatch(b, engine, tables, rng, nkeys, chunk, true, 0) }
-	case "row":
-		fn = func(b *testing.B) { benchRows(b, engine, tables, rng, nkeys, false, 1) }
-	case "row-wave":
-		fn = func(b *testing.B) { benchRows(b, engine, tables, rng, nkeys, false, 0) }
-	case "row-wave-decay":
-		fn = func(b *testing.B) { benchRows(b, engine, tables, rng, nkeys, true, 0) }
 	}
 	prev := flag.Lookup("test.benchtime")
 	if prev != nil {
@@ -533,7 +508,7 @@ func benchLegacy(b *testing.B, engine string, tables, rng, nkeys int) {
 }
 
 func benchPerCall(b *testing.B, engine string, tables, rng, nkeys int) {
-	var eng sketchapi.Ingestor = newEngine(engine, tables, rng, nkeys, false)
+	eng := newEngine(engine, tables, rng, nkeys, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -563,7 +538,7 @@ func benchFused(b *testing.B, engine string, tables, rng, nkeys int) {
 func benchBatch(b *testing.B, engine string, tables, rng, nkeys, chunk int, decayed bool, group int) {
 	eng := newEngine(engine, tables, rng, nkeys, decayed)
 	if group > 0 {
-		eng.(sketchapi.WaveTuner).SetWaveGroup(group)
+		eng.SetWaveGroup(group)
 	}
 	if chunk > nkeys {
 		chunk = nkeys
@@ -600,69 +575,6 @@ func benchBatch(b *testing.B, engine string, tables, rng, nkeys, chunk int, deca
 	}
 }
 
-// triangleDim returns the smallest m whose upper triangle has at least
-// nkeys pairs, so a single OfferRows triangle covers (essentially) the
-// same primed key range as the pair arms.
-func triangleDim(nkeys int) int {
-	m := int(math.Ceil((1 + math.Sqrt(1+8*float64(nkeys))) / 2))
-	if m < 2 {
-		m = 2
-	}
-	for m > 2 && (m-1)*(m-2)/2 >= nkeys {
-		m--
-	}
-	for m*(m-1)/2 < nkeys {
-		m++
-	}
-	return m
-}
-
-// benchRows measures OfferRows over the upper triangle of an m-feature
-// sample with m(m−1)/2 ≈ nkeys: bases[i] = pairs.RowBase(i, m) and
-// ids[j] = j, so the offered keys enumerate exactly [0, m(m−1)/2) — the
-// primed working set — and left·right = 1e6 matches the pair arms'
-// update magnitude. group 1 pins the scalar loop ("row"), 0 keeps the
-// default wave group ("row-wave").
-func benchRows(b *testing.B, engine string, tables, rng, nkeys int, decayed bool, group int) {
-	m := triangleDim(nkeys)
-	p := m * (m - 1) / 2
-	eng := newEngine(engine, tables, rng, p, decayed)
-	if group > 0 {
-		eng.(sketchapi.WaveTuner).SetWaveGroup(group)
-	}
-	row, ok := eng.(sketchapi.RowOfferer)
-	if !ok {
-		b.Fatalf("engine %q does not implement RowOfferer", engine)
-	}
-	bases := make([]uint64, m-1)
-	left := make([]float64, m-1)
-	ids := make([]uint64, m)
-	right := make([]float64, m)
-	ests := make([]float64, p)
-	for i := range bases {
-		bases[i] = uint64(pairs.RowBase(i, m))
-		left[i] = 1000
-	}
-	for j := range ids {
-		ids[j] = uint64(j)
-		right[j] = 1000
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	step := 2
-	// One iteration is one whole triangle; the final one may overshoot
-	// b.N by at most p-1 pairs, negligible at benchtime-scale N.
-	for done := 0; done < b.N; done += p {
-		if decayed {
-			// One triangle stands for one sample, charging the lazy decay
-			// tick to the measured loop as in the other *-decay arms.
-			step++
-			eng.BeginStep(step)
-		}
-		row.OfferRows(bases, ids, left, right, ests)
-	}
-}
-
 // runFoldSweep folds one engine level by level, recording the
 // serialized snapshot size and the RMS estimate deviation versus the
 // engine's own unfolded estimates. The stream carries varied magnitudes
@@ -693,28 +605,20 @@ func runFoldSweep(engine string, tables, rng, nkeys, maxLevel int) []FoldPoint {
 	}
 	signal := math.Sqrt(energy / float64(nkeys))
 
-	folder, ok := eng.(sketchapi.Folder)
-	if !ok {
-		log.Fatalf("engine %q does not implement sketchapi.Folder", engine)
-	}
-	snap, ok := eng.(sketchapi.Snapshotter)
-	if !ok {
-		log.Fatalf("engine %q does not implement sketchapi.Snapshotter", engine)
-	}
 	size := func() int {
 		var buf bytes.Buffer
-		if _, err := snap.WriteTo(&buf); err != nil {
+		if _, err := eng.WriteTo(&buf); err != nil {
 			log.Fatal(err)
 		}
 		return buf.Len()
 	}
-	if max := folder.MaxFoldLevels(); maxLevel > max {
+	if max := eng.MaxFoldLevels(); maxLevel > max {
 		maxLevel = max
 	}
 	full := size()
 	pts := []FoldPoint{{Engine: engine, Level: 0, Bytes: full, Shrink: 1, SignalRMS: signal}}
 	for level := 1; level <= maxLevel; level++ {
-		if err := folder.Fold(1); err != nil {
+		if err := eng.Fold(1); err != nil {
 			log.Fatal(err)
 		}
 		var sum float64

@@ -37,7 +37,7 @@ type ASketch struct {
 	minAbs float64
 	t      int
 
-	// decay/lambda/neff implement sketchapi.Decayer. The sketch ages
+	// decay/lambda/neff back the decay methods. The sketch ages
 	// lazily through its scale accumulator, and the exact filter ages
 	// the same lazy way: fscale is the filter's decay accumulator
 	// (logical entry = raw · fscale, finv = 1/fscale applied on
@@ -50,12 +50,12 @@ type ASketch struct {
 	finv   float64
 
 	// slots is the reusable slot scratch of the fused offer methods
-	// (single-writer by the Ingestor contract; kept off the stack so it
+	// (single-writer by the Engine contract; kept off the stack so it
 	// does not escape through the hash-family interface call).
 	slots [countsketch.MaxTables]countsketch.Slot
 
 	// wave is the group-size state and lazily built scratch of the
-	// wave-pipelined OfferPairs path (sketchapi.WaveTuner).
+	// wave-pipelined OfferPairs path (SetWaveGroup).
 	wave countsketch.WaveTune
 
 	// Health telemetry: ASketch absorbs every offer (no gate), so all
@@ -69,16 +69,7 @@ type ASketch struct {
 // for the filter's lazy scale.
 const asketchRenormFloor = sketchapi.RenormFloor
 
-var (
-	_ sketchapi.OfferEstimator = (*ASketch)(nil)
-	_ sketchapi.RowOfferer     = (*ASketch)(nil)
-	_ sketchapi.Decayer        = (*ASketch)(nil)
-	_ sketchapi.Snapshotter    = (*ASketch)(nil)
-	_ sketchapi.WaveTuner      = (*ASketch)(nil)
-	_ sketchapi.HealthReporter = (*ASketch)(nil)
-	_ sketchapi.Folder         = (*ASketch)(nil)
-	_ sketchapi.FoldedWriter   = (*ASketch)(nil)
-)
+var _ sketchapi.Engine = (*ASketch)(nil)
 
 // NewASketch builds an Augmented Sketch engine. filterCap is the number
 // of exact filter slots; totalSamples is the stream length T.
@@ -150,13 +141,13 @@ func (a *ASketch) BeginStep(t int) {
 	a.t = t
 }
 
-// Decaying implements sketchapi.Decayer.
+// Decaying implements sketchapi.Engine.
 func (a *ASketch) Decaying() bool { return a.decay }
 
-// DecayFactor implements sketchapi.Decayer.
+// DecayFactor implements sketchapi.Engine.
 func (a *ASketch) DecayFactor() float64 { return a.lambda }
 
-// EffectiveSamples implements sketchapi.Decayer.
+// EffectiveSamples implements sketchapi.Engine.
 func (a *ASketch) EffectiveSamples() float64 {
 	if a.decay {
 		return a.neff
@@ -193,7 +184,7 @@ func (a *ASketch) offerWith(key uint64, x float64, slots *[countsketch.MaxTables
 	a.offerSketched(key, slots)
 }
 
-// OfferEstimate implements sketchapi.OfferEstimator: Offer plus the
+// OfferEstimate implements sketchapi.Engine: Offer plus the
 // post-offer estimate off a single Locate of the key.
 func (a *ASketch) OfferEstimate(key uint64, x float64) (float64, bool) {
 	a.sk.Locate(key, &a.slots)
@@ -247,7 +238,7 @@ func (a *ASketch) OfferPairs(keys []uint64, xs []float64, ests []float64) {
 
 // offerWave processes one group of ≤ G pairs through the hash/touch
 // stages, then replays the exact per-key filter logic on warm lines —
-// the shared wave group body of OfferPairs and the RowOfferer path.
+// the shared wave group body of OfferPairs and OfferRow.
 func (a *ASketch) offerWave(w *countsketch.Wave, keys []uint64, xs []float64, ests []float64) {
 	n := len(keys)
 	a.waveGroups++
@@ -264,12 +255,12 @@ func (a *ASketch) offerWave(w *countsketch.Wave, keys []uint64, xs []float64, es
 	}
 }
 
-// OfferRow implements sketchapi.RowOfferer: one row's pairs
-// (rowBase+partners[j], x[j]) with key materialization amortized to one
-// wrapping vector add per wave group, then the same group body as
-// OfferPairs (hash/touch staging + exact sequential filter replay).
-// Bit-identical to OfferPairs over the materialized keys at any group
-// size (scalar per-pair at g ≤ 1).
+// OfferRow (outside the sketchapi.Engine contract; the benchmark ladder
+// calls it) offers one row's pairs (rowBase+partners[j], x[j]) with key
+// materialization amortized to one wrapping vector add per wave group,
+// then the same group body as OfferPairs (hash/touch staging + exact
+// sequential filter replay). Bit-identical to OfferPairs over the
+// materialized keys at any group size (scalar per-pair at g ≤ 1).
 func (a *ASketch) OfferRow(rowBase uint64, partners []uint64, x []float64, ests []float64) {
 	w, g := a.wave.Scratch(a.sk.K())
 	if g <= 1 {
@@ -286,31 +277,8 @@ func (a *ASketch) OfferRow(rowBase uint64, partners []uint64, x []float64, ests 
 		func(keys []uint64, xs []float64, sub []float64) { a.offerWave(w, keys, xs, sub) })
 }
 
-// OfferRows implements sketchapi.RowOfferer: one sample's whole upper
-// triangle in row-major order, groups packed across row boundaries.
-func (a *ASketch) OfferRows(bases, ids []uint64, left, right []float64, ests []float64) {
-	w, g := a.wave.Scratch(a.sk.K())
-	if g <= 1 {
-		p := 0
-		for i := 0; i+1 < len(ids); i++ {
-			base, li := bases[i], left[i]
-			for j := i + 1; j < len(ids); j++ {
-				if ests == nil {
-					a.Offer(base+ids[j], li*right[j])
-				} else {
-					ests[p], _ = a.OfferEstimate(base+ids[j], li*right[j])
-				}
-				p++
-			}
-		}
-		return
-	}
-	countsketch.WalkRowsGroups(w, g, bases, ids, left, right, ests,
-		func(keys []uint64, xs []float64, sub []float64) { a.offerWave(w, keys, xs, sub) })
-}
-
 // offerPairsScalar is the pre-wave batch loop, kept as the wave path's
-// differential reference (sketchapi.WaveTuner, g = 1).
+// differential reference (SetWaveGroup(1)).
 func (a *ASketch) offerPairsScalar(keys []uint64, xs []float64, ests []float64) {
 	for i, key := range keys {
 		if ests != nil {
@@ -321,11 +289,11 @@ func (a *ASketch) offerPairsScalar(keys []uint64, xs []float64, ests []float64) 
 	}
 }
 
-// SetWaveGroup implements sketchapi.WaveTuner (g ≤ 1 = scalar loop).
+// SetWaveGroup implements sketchapi.Engine (g ≤ 1 = scalar loop).
 // Not safe concurrently with offers.
 func (a *ASketch) SetWaveGroup(g int) { a.wave.Set(g) }
 
-// WaveGroup implements sketchapi.WaveTuner.
+// WaveGroup implements sketchapi.Engine.
 func (a *ASketch) WaveGroup() int { return a.wave.Group() }
 
 // bumpFilter updates a filtered key's value (nv in logical units),
@@ -407,7 +375,7 @@ func (a *ASketch) Estimate(key uint64) float64 {
 	return a.sk.Estimate(key)
 }
 
-// EstimateKeys implements sketchapi.OfferEstimator: the sketch reads
+// EstimateKeys implements sketchapi.Engine: the sketch reads
 // run through the wave stages, then each filtered key adds its exact
 // term as Estimate does, v·fscale + sketch estimate.
 func (a *ASketch) EstimateKeys(keys []uint64, out []float64) {
@@ -423,7 +391,7 @@ func (a *ASketch) EstimateKeys(keys []uint64, out []float64) {
 	}
 }
 
-// Health implements sketchapi.HealthReporter: the engine has no
+// Health implements sketchapi.Engine: the engine has no
 // admission gate, so every offer is admitted mass. Call from the
 // owning goroutine.
 func (a *ASketch) Health() sketchapi.Health {
@@ -438,17 +406,17 @@ func (a *ASketch) Health() sketchapi.Health {
 // FilterLen returns the current number of filtered keys.
 func (a *ASketch) FilterLen() int { return len(a.filter) }
 
-// Fold implements sketchapi.Folder by folding the backing sketch; the
+// Fold implements sketchapi.Engine by folding the backing sketch; the
 // exact filter is width-independent and keeps answering exactly.
 func (a *ASketch) Fold(levels int) error { return a.sk.Fold(levels) }
 
-// Unfold implements sketchapi.Folder.
+// Unfold implements sketchapi.Engine.
 func (a *ASketch) Unfold() { a.sk.Unfold() }
 
-// FoldLevel implements sketchapi.Folder.
+// FoldLevel implements sketchapi.Engine.
 func (a *ASketch) FoldLevel() int { return a.sk.FoldLevel() }
 
-// MaxFoldLevels implements sketchapi.Folder.
+// MaxFoldLevels implements sketchapi.Engine.
 func (a *ASketch) MaxFoldLevels() int { return a.sk.MaxFoldLevels() }
 
 // Bytes accounts the sketch plus 16 bytes (key+value) per filter slot.
@@ -459,7 +427,7 @@ func (a *ASketch) Name() string { return "ASketch" }
 
 const asketchMagic = uint32(0xA5C5A5E1)
 
-// WriteTo implements sketchapi.Snapshotter: normalizer, step position,
+// WriteTo implements sketchapi.Engine: normalizer, step position,
 // decay state (λ, N_eff, the filter's lazy scale), the exact filter
 // contents (raw units — restore is bit-exact), and the backing sketch.
 // The cached filter minimum is not serialized — it is a derived
@@ -468,7 +436,7 @@ func (a *ASketch) WriteTo(w io.Writer) (int64, error) {
 	return a.writeTo(w, a.sk.WriteTo)
 }
 
-// WriteToFolded implements sketchapi.FoldedWriter: identical header and
+// WriteToFolded implements sketchapi.Engine: identical header and
 // filter bytes, backing sketch streamed pre-folded to the given level.
 func (a *ASketch) WriteToFolded(w io.Writer, level int) (int64, error) {
 	return a.writeTo(w, func(w io.Writer) (int64, error) { return a.sk.WriteToFolded(w, level) })

@@ -24,7 +24,7 @@ type ColdFilter struct {
 	invT   float64
 	t      int
 
-	// decay/lambda/neff implement sketchapi.Decayer: both layers age by
+	// decay/lambda/neff back the decay methods: both layers age by
 	// λ per step (lazily, via each sketch's scale accumulator). The
 	// saturation threshold stays fixed — it is in mean units, which do
 	// not decay.
@@ -33,13 +33,13 @@ type ColdFilter struct {
 	neff   float64
 
 	// s1/s2 are the reusable slot scratches of the fused offer methods
-	// (single-writer by the Ingestor contract; kept off the stack so
+	// (single-writer by the Engine contract; kept off the stack so
 	// they do not escape through the hash-family interface call).
 	s1, s2 [countsketch.MaxTables]countsketch.Slot
 
 	// wave is the group-size state and lazily built scratch of the
 	// wave-pipelined OfferPairs path over the layer-1 sketch
-	// (sketchapi.WaveTuner). Layer 2 sees only the overflow trickle of
+	// (SetWaveGroup). Layer 2 sees only the overflow trickle of
 	// saturated keys, so it stays on per-key locates.
 	wave countsketch.WaveTune
 	// l2wave is the layer-2 scratch of the EstimateKeys read, which
@@ -54,16 +54,7 @@ type ColdFilter struct {
 	waveGroups uint64
 }
 
-var (
-	_ sketchapi.OfferEstimator = (*ColdFilter)(nil)
-	_ sketchapi.RowOfferer     = (*ColdFilter)(nil)
-	_ sketchapi.Decayer        = (*ColdFilter)(nil)
-	_ sketchapi.Snapshotter    = (*ColdFilter)(nil)
-	_ sketchapi.WaveTuner      = (*ColdFilter)(nil)
-	_ sketchapi.HealthReporter = (*ColdFilter)(nil)
-	_ sketchapi.Folder         = (*ColdFilter)(nil)
-	_ sketchapi.FoldedWriter   = (*ColdFilter)(nil)
-)
+var _ sketchapi.Engine = (*ColdFilter)(nil)
 
 // NewColdFilter builds the engine. l1cfg is typically much smaller than
 // l2cfg; threshold is in final-mean units (like the ASCS τ), i.e. a key
@@ -119,13 +110,13 @@ func (c *ColdFilter) BeginStep(t int) {
 	c.t = t
 }
 
-// Decaying implements sketchapi.Decayer.
+// Decaying implements sketchapi.Engine.
 func (c *ColdFilter) Decaying() bool { return c.decay }
 
-// DecayFactor implements sketchapi.Decayer.
+// DecayFactor implements sketchapi.Engine.
 func (c *ColdFilter) DecayFactor() float64 { return c.lambda }
 
-// EffectiveSamples implements sketchapi.Decayer.
+// EffectiveSamples implements sketchapi.Engine.
 func (c *ColdFilter) EffectiveSamples() float64 {
 	if c.decay {
 		return c.neff
@@ -153,7 +144,7 @@ func (c *ColdFilter) offerWith(key uint64, x float64, s1 *[countsketch.MaxTables
 	c.l2.Add(key, v)
 }
 
-// OfferEstimate implements sketchapi.OfferEstimator: Offer plus the
+// OfferEstimate implements sketchapi.Engine: Offer plus the
 // post-offer estimate, hashing the key once per layer touched instead of
 // once per gate/insert/estimate phase.
 func (c *ColdFilter) OfferEstimate(key uint64, x float64) (float64, bool) {
@@ -210,7 +201,7 @@ func (c *ColdFilter) OfferPairs(keys []uint64, xs []float64, ests []float64) {
 // offerWave processes one group of ≤ G pairs through the layer-1
 // hash/touch stages, then replays the exact per-key saturate-or-
 // overflow logic on warm lines — the shared wave group body of
-// OfferPairs and the RowOfferer path.
+// OfferPairs and OfferRow.
 func (c *ColdFilter) offerWave(w *countsketch.Wave, keys []uint64, xs []float64, ests []float64) {
 	n := len(keys)
 	c.waveGroups++
@@ -227,12 +218,12 @@ func (c *ColdFilter) offerWave(w *countsketch.Wave, keys []uint64, xs []float64,
 	}
 }
 
-// OfferRow implements sketchapi.RowOfferer: one row's pairs
-// (rowBase+partners[j], x[j]) with key materialization amortized to one
-// wrapping vector add per wave group, then the same group body as
-// OfferPairs (layer-1 hash/touch staging + exact sequential replay).
-// Bit-identical to OfferPairs over the materialized keys at any group
-// size (scalar per-pair at g ≤ 1).
+// OfferRow (outside the sketchapi.Engine contract; the benchmark ladder
+// calls it) offers one row's pairs (rowBase+partners[j], x[j]) with key
+// materialization amortized to one wrapping vector add per wave group,
+// then the same group body as OfferPairs (layer-1 hash/touch staging +
+// exact sequential replay). Bit-identical to OfferPairs over the
+// materialized keys at any group size (scalar per-pair at g ≤ 1).
 func (c *ColdFilter) OfferRow(rowBase uint64, partners []uint64, x []float64, ests []float64) {
 	w, g := c.wave.Scratch(c.l1.K())
 	if g <= 1 {
@@ -249,31 +240,8 @@ func (c *ColdFilter) OfferRow(rowBase uint64, partners []uint64, x []float64, es
 		func(keys []uint64, xs []float64, sub []float64) { c.offerWave(w, keys, xs, sub) })
 }
 
-// OfferRows implements sketchapi.RowOfferer: one sample's whole upper
-// triangle in row-major order, groups packed across row boundaries.
-func (c *ColdFilter) OfferRows(bases, ids []uint64, left, right []float64, ests []float64) {
-	w, g := c.wave.Scratch(c.l1.K())
-	if g <= 1 {
-		p := 0
-		for i := 0; i+1 < len(ids); i++ {
-			base, li := bases[i], left[i]
-			for j := i + 1; j < len(ids); j++ {
-				if ests == nil {
-					c.Offer(base+ids[j], li*right[j])
-				} else {
-					ests[p], _ = c.OfferEstimate(base+ids[j], li*right[j])
-				}
-				p++
-			}
-		}
-		return
-	}
-	countsketch.WalkRowsGroups(w, g, bases, ids, left, right, ests,
-		func(keys []uint64, xs []float64, sub []float64) { c.offerWave(w, keys, xs, sub) })
-}
-
 // offerPairsScalar is the pre-wave batch loop, kept as the wave path's
-// differential reference (sketchapi.WaveTuner, g = 1).
+// differential reference (SetWaveGroup(1)).
 func (c *ColdFilter) offerPairsScalar(keys []uint64, xs []float64, ests []float64) {
 	for i, key := range keys {
 		if ests != nil {
@@ -284,11 +252,11 @@ func (c *ColdFilter) offerPairsScalar(keys []uint64, xs []float64, ests []float6
 	}
 }
 
-// SetWaveGroup implements sketchapi.WaveTuner (g ≤ 1 = scalar loop).
+// SetWaveGroup implements sketchapi.Engine (g ≤ 1 = scalar loop).
 // Not safe concurrently with offers.
 func (c *ColdFilter) SetWaveGroup(g int) { c.wave.Set(g) }
 
-// WaveGroup implements sketchapi.WaveTuner.
+// WaveGroup implements sketchapi.Engine.
 func (c *ColdFilter) WaveGroup() int { return c.wave.Group() }
 
 // Estimate reports the layer-1 estimate clamped at the saturation
@@ -308,7 +276,7 @@ func (c *ColdFilter) Estimate(key uint64) float64 {
 	return e1 + c.l2.Estimate(key)
 }
 
-// EstimateKeys implements sketchapi.OfferEstimator: per group of keys,
+// EstimateKeys implements sketchapi.Engine: per group of keys,
 // both layers are read through the wave stages (each with scratch of
 // its own K), then combined exactly as Estimate does — the layer-1
 // estimate clamped to ±thresh by math.Copysign, plus layer 2.
@@ -336,7 +304,7 @@ func (c *ColdFilter) EstimateKeys(keys []uint64, out []float64) {
 	}
 }
 
-// Health implements sketchapi.HealthReporter: the filter never rejects
+// Health implements sketchapi.Engine: the filter never rejects
 // an offer, so every offer is admitted mass. Call from the owning
 // goroutine.
 func (c *ColdFilter) Health() sketchapi.Health {
@@ -351,7 +319,7 @@ func (c *ColdFilter) Health() sketchapi.Health {
 // Bytes sums both layers.
 func (c *ColdFilter) Bytes() int { return c.l1.Bytes() + c.l2.Bytes() }
 
-// Fold implements sketchapi.Folder by folding both layers together, so
+// Fold implements sketchapi.Engine by folding both layers together, so
 // the saturation gate and the retrieval read matching resolutions. Both
 // layers must support the target level (see MaxFoldLevels); validation
 // runs before either layer mutates, so a failed Fold changes nothing.
@@ -368,16 +336,16 @@ func (c *ColdFilter) Fold(levels int) error {
 	return c.l2.Fold(levels)
 }
 
-// Unfold implements sketchapi.Folder.
+// Unfold implements sketchapi.Engine.
 func (c *ColdFilter) Unfold() {
 	c.l1.Unfold()
 	c.l2.Unfold()
 }
 
-// FoldLevel implements sketchapi.Folder (the layers move together).
+// FoldLevel implements sketchapi.Engine (the layers move together).
 func (c *ColdFilter) FoldLevel() int { return c.l1.FoldLevel() }
 
-// MaxFoldLevels implements sketchapi.Folder: the shallower of the two
+// MaxFoldLevels implements sketchapi.Engine: the shallower of the two
 // layers' limits, since the layers fold in lockstep.
 func (c *ColdFilter) MaxFoldLevels() int {
 	if m1, m2 := c.l1.MaxFoldLevels(), c.l2.MaxFoldLevels(); m1 < m2 {
@@ -392,13 +360,13 @@ func (c *ColdFilter) Name() string { return "ColdFilter" }
 
 const coldFilterMagic = uint32(0xA5C5CF01)
 
-// WriteTo implements sketchapi.Snapshotter: normalizer, step position,
+// WriteTo implements sketchapi.Engine: normalizer, step position,
 // saturation threshold, decay state, then both layer sketches.
 func (c *ColdFilter) WriteTo(w io.Writer) (int64, error) {
 	return c.writeTo(w, -1)
 }
 
-// WriteToFolded implements sketchapi.FoldedWriter: both layers stream
+// WriteToFolded implements sketchapi.Engine: both layers stream
 // pre-folded to the given level (each clamped to its own geometry).
 func (c *ColdFilter) WriteToFolded(w io.Writer, level int) (int64, error) {
 	return c.writeTo(w, level)

@@ -12,7 +12,7 @@ import (
 
 // driveLockstep offers an identical seeded stream to both engines,
 // failing on any divergence in per-offer estimates.
-func driveLockstep(t *testing.T, a, b sketchapi.OfferEstimator, steps, perStep int, seed int64) {
+func driveLockstep(t *testing.T, a, b sketchapi.Engine, steps, perStep int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for step := 1; step <= steps; step++ {
@@ -34,7 +34,7 @@ func driveLockstep(t *testing.T, a, b sketchapi.OfferEstimator, steps, perStep i
 }
 
 // assertSameEstimates compares point estimates over a key sweep, bitwise.
-func assertSameEstimates(t *testing.T, a, b sketchapi.Ingestor, span uint64) {
+func assertSameEstimates(t *testing.T, a, b sketchapi.Engine, span uint64) {
 	t.Helper()
 	for k := uint64(0); k < span; k++ {
 		if math.Float64bits(a.Estimate(k)) != math.Float64bits(b.Estimate(k)) {
@@ -177,7 +177,7 @@ func TestBaselinesAgeOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []sketchapi.Decayer{ask, cf} {
+	for _, eng := range []sketchapi.Engine{ask, cf} {
 		for step := 1; step <= window; step++ {
 			eng.BeginStep(step)
 			eng.Offer(42, 5)

@@ -25,7 +25,7 @@ func sketchBytes(t *testing.T, s *countsketch.Sketch) []byte {
 // engine b's OfferEstimate, requiring bit-identical estimates per offer.
 // The key universe is small so the ASketch filter churns (promotions,
 // swaps) and the Cold Filter saturates keys into layer 2.
-func driveDifferential(t *testing.T, a, b sketchapi.OfferEstimator) {
+func driveDifferential(t *testing.T, a, b sketchapi.Engine) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(17))
 	const steps, offersPerStep = 300, 24
@@ -108,18 +108,18 @@ func TestColdFilterOfferEstimateBitIdentical(t *testing.T) {
 func TestBaselineOfferPairsMatchesPerCall(t *testing.T) {
 	engines := []struct {
 		name string
-		a, b sketchapi.OfferEstimator
-		tabs func(e sketchapi.OfferEstimator) []*countsketch.Sketch
+		a, b sketchapi.Engine
+		tabs func(e sketchapi.Engine) []*countsketch.Sketch
 	}{
 		{
 			name: "ASketch",
 			a:    newTestASketch(t), b: newTestASketch(t),
-			tabs: func(e sketchapi.OfferEstimator) []*countsketch.Sketch { return []*countsketch.Sketch{e.(*ASketch).sk} },
+			tabs: func(e sketchapi.Engine) []*countsketch.Sketch { return []*countsketch.Sketch{e.(*ASketch).sk} },
 		},
 		{
 			name: "ColdFilter",
 			a:    newTestColdFilter(t), b: newTestColdFilter(t),
-			tabs: func(e sketchapi.OfferEstimator) []*countsketch.Sketch {
+			tabs: func(e sketchapi.Engine) []*countsketch.Sketch {
 				cf := e.(*ColdFilter)
 				return []*countsketch.Sketch{cf.l1, cf.l2}
 			},

@@ -37,8 +37,8 @@ func TestBaselineWaveMatchesScalar(t *testing.T) {
 	const T = 1 << 12
 	l1 := countsketch.Config{Tables: 3, Range: 128, Seed: 4}
 	l2 := countsketch.Config{Tables: 5, Range: 512, Seed: 5}
-	builders := map[string]func(lambda float64) sketchapi.Snapshotter{
-		"ASketch": func(lambda float64) sketchapi.Snapshotter {
+	builders := map[string]func(lambda float64) sketchapi.Engine{
+		"ASketch": func(lambda float64) sketchapi.Engine {
 			if lambda == 0 {
 				a, err := NewASketch(l2, T, 6)
 				if err != nil {
@@ -52,7 +52,7 @@ func TestBaselineWaveMatchesScalar(t *testing.T) {
 			}
 			return a
 		},
-		"ColdFilter": func(lambda float64) sketchapi.Snapshotter {
+		"ColdFilter": func(lambda float64) sketchapi.Engine {
 			if lambda == 0 {
 				c, err := NewColdFilter(l1, l2, T, 0.05)
 				if err != nil {
@@ -71,10 +71,9 @@ func TestBaselineWaveMatchesScalar(t *testing.T) {
 		for _, lambda := range []float64{0, 1, 0.998} {
 			for _, g := range []int{2, 32} {
 				scalar, wave := build(lambda), build(lambda)
-				scalar.(sketchapi.WaveTuner).SetWaveGroup(1)
-				wave.(sketchapi.WaveTuner).SetWaveGroup(g)
-				so := scalar.(sketchapi.OfferEstimator)
-				wo := wave.(sketchapi.OfferEstimator)
+				scalar.SetWaveGroup(1)
+				wave.SetWaveGroup(g)
+				so, wo := scalar, wave
 				keys, xs := waveBaselineStream(3000, 31)
 				se := make([]float64, 100)
 				we := make([]float64, 100)

@@ -28,7 +28,7 @@ type Engine struct {
 	// false only positive estimates pass (Algorithm 2 as written).
 	absolute bool
 
-	// Exponential-decay (unbounded-stream) mode, sketchapi.Decayer: the
+	// Exponential-decay (unbounded-stream) mode (Decaying): the
 	// sketch ages by λ per step (lazily) and the schedule runs on the
 	// effective sample count N_eff(t) = (1−λ^t)/(1−λ) instead of t —
 	// hp.T is then the effective window W the schedule was solved for,
@@ -46,7 +46,7 @@ type Engine struct {
 	offeredSampling  uint64
 	insertedSampling uint64
 
-	// Health telemetry (sketchapi.HealthReporter): exploration-period
+	// Health telemetry (Health): exploration-period
 	// insert count, Σ|x| mass split by gate outcome (raw offered values,
 	// pre-1/T), and wave-pipeline staging counters. Owned single-writer
 	// by the ingest path like every other engine counter.
@@ -58,26 +58,18 @@ type Engine struct {
 	waveFbExploration  uint64
 
 	// slots is the reusable slot scratch of the fused ingest path. Offer
-	// mutates engine state, so the Ingestor contract already makes the
+	// mutates engine state, so the Engine contract already makes the
 	// offer methods single-writer; keeping the buffer here (instead of on
 	// the stack) stops it escaping through the hash-family interface
 	// call.
 	slots [countsketch.MaxTables]countsketch.Slot
 
 	// wave is the group-size state and lazily built scratch of the
-	// wave-pipelined OfferPairs path (sketchapi.WaveTuner).
+	// wave-pipelined OfferPairs path (SetWaveGroup).
 	wave countsketch.WaveTune
 }
 
-var (
-	_ sketchapi.OfferEstimator = (*Engine)(nil)
-	_ sketchapi.RowOfferer     = (*Engine)(nil)
-	_ sketchapi.Decayer        = (*Engine)(nil)
-	_ sketchapi.WaveTuner      = (*Engine)(nil)
-	_ sketchapi.HealthReporter = (*Engine)(nil)
-	_ sketchapi.Folder         = (*Engine)(nil)
-	_ sketchapi.FoldedWriter   = (*Engine)(nil)
-)
+var _ sketchapi.Engine = (*Engine)(nil)
 
 // NewEngine builds an ASCS engine over a fresh count sketch with the
 // given shape and the solved schedule hp. absolute selects the two-sided
@@ -230,7 +222,7 @@ func (e *Engine) offerEstimateSlots(slots *[countsketch.MaxTables]countsketch.Sl
 	return est, pass
 }
 
-// OfferEstimate implements sketchapi.OfferEstimator: one Locate serves
+// OfferEstimate implements sketchapi.Engine: one Locate serves
 // the τ gate, the insertion, and the returned post-offer estimate (the
 // per-call path hashes the key up to three times for the same state).
 func (e *Engine) OfferEstimate(key uint64, x float64) (float64, bool) {
@@ -346,12 +338,13 @@ func (e *Engine) offerWave(w *countsketch.Wave, keys []uint64, xs []float64, est
 	e.sk.AddSlotsBatch(slots, vs, admit, raws, ests)
 }
 
-// OfferRow implements sketchapi.RowOfferer: the τ-gated ingest of one
-// row's pairs (rowBase+partners[j], x[j]) with the key materialization
-// amortized — per wave group one wrapping vector add of the shared row
-// base replaces per-pair key arithmetic, and the groups then run the
-// same staged body as OfferPairs. Bit-identical to OfferPairs over the
-// materialized keys at any group size (scalar per-pair at g ≤ 1).
+// OfferRow (outside the sketchapi.Engine contract; the benchmark ladder
+// calls it) is the τ-gated ingest of one row's pairs
+// (rowBase+partners[j], x[j]) with the key materialization amortized —
+// per wave group one wrapping vector add of the shared row base replaces
+// per-pair key arithmetic, and the groups then run the same staged body
+// as OfferPairs. Bit-identical to OfferPairs over the materialized keys
+// at any group size (scalar per-pair at g ≤ 1).
 func (e *Engine) OfferRow(rowBase uint64, partners []uint64, x []float64, ests []float64) {
 	w, g := e.wave.Scratch(e.sk.K())
 	if g <= 1 {
@@ -369,46 +362,20 @@ func (e *Engine) OfferRow(rowBase uint64, partners []uint64, x []float64, ests [
 		func(keys []uint64, xs []float64, sub []float64) { e.offerWave(w, keys, xs, sub) })
 }
 
-// OfferRows implements sketchapi.RowOfferer: one sample's whole upper
-// triangle in row-major order, with pair keys and left·right increments
-// expanded inside the wave staging and groups packed across row
-// boundaries. See OfferRow for the equivalence contract.
-func (e *Engine) OfferRows(bases, ids []uint64, left, right []float64, ests []float64) {
-	w, g := e.wave.Scratch(e.sk.K())
-	if g <= 1 {
-		p := 0
-		for i := 0; i+1 < len(ids); i++ {
-			base, li := bases[i], left[i]
-			for j := i + 1; j < len(ids); j++ {
-				e.sk.Locate(base+ids[j], &e.slots)
-				if ests == nil {
-					e.offerSlots(&e.slots, li*right[j])
-				} else {
-					ests[p], _ = e.offerEstimateSlots(&e.slots, li*right[j])
-				}
-				p++
-			}
-		}
-		return
-	}
-	countsketch.WalkRowsGroups(w, g, bases, ids, left, right, ests,
-		func(keys []uint64, xs []float64, sub []float64) { e.offerWave(w, keys, xs, sub) })
-}
-
-// SetWaveGroup implements sketchapi.WaveTuner: it sets the wave group
+// SetWaveGroup implements sketchapi.Engine: it sets the wave group
 // size G of OfferPairs (g ≤ 1 selects the scalar per-pair loop). State
 // and estimates are bit-identical at any setting; only the staging
 // changes. Not safe concurrently with offers.
 func (e *Engine) SetWaveGroup(g int) { e.wave.Set(g) }
 
-// WaveGroup implements sketchapi.WaveTuner.
+// WaveGroup implements sketchapi.Engine.
 func (e *Engine) WaveGroup() int { return e.wave.Group() }
 
 // Estimate returns the current estimate μ̂_i^{(t)} (which is the final
 // mean estimate after the stream completes).
 func (e *Engine) Estimate(key uint64) float64 { return e.sk.Estimate(key) }
 
-// EstimateKeys implements sketchapi.OfferEstimator: Estimate of every
+// EstimateKeys implements sketchapi.Engine: Estimate of every
 // key, read through the wave stages in groups of the WaveTune size.
 func (e *Engine) EstimateKeys(keys []uint64, out []float64) {
 	w, g := e.wave.Scratch(e.sk.K())
@@ -424,17 +391,17 @@ func (e *Engine) Name() string { return "ASCS" }
 // Sketch exposes the underlying count sketch (diagnostics, serialization).
 func (e *Engine) Sketch() *countsketch.Sketch { return e.sk }
 
-// Fold implements sketchapi.Folder by folding the underlying table; the
+// Fold implements sketchapi.Engine by folding the underlying table; the
 // τ gate and schedule state are width-independent and carry over.
 func (e *Engine) Fold(levels int) error { return e.sk.Fold(levels) }
 
-// Unfold implements sketchapi.Folder.
+// Unfold implements sketchapi.Engine.
 func (e *Engine) Unfold() { e.sk.Unfold() }
 
-// FoldLevel implements sketchapi.Folder.
+// FoldLevel implements sketchapi.Engine.
 func (e *Engine) FoldLevel() int { return e.sk.FoldLevel() }
 
-// MaxFoldLevels implements sketchapi.Folder.
+// MaxFoldLevels implements sketchapi.Engine.
 func (e *Engine) MaxFoldLevels() int { return e.sk.MaxFoldLevels() }
 
 // Schedule returns the threshold schedule in force.
@@ -443,13 +410,13 @@ func (e *Engine) Schedule() Hyperparams { return e.hp }
 // Sampling reports whether the engine has entered the sampling period.
 func (e *Engine) Sampling() bool { return e.sampling }
 
-// Decaying implements sketchapi.Decayer.
+// Decaying implements sketchapi.Engine.
 func (e *Engine) Decaying() bool { return e.decay }
 
-// DecayFactor implements sketchapi.Decayer (1 in fixed-horizon mode).
+// DecayFactor implements sketchapi.Engine (1 in fixed-horizon mode).
 func (e *Engine) DecayFactor() float64 { return e.lambda }
 
-// EffectiveSamples implements sketchapi.Decayer (N_eff = t in fixed
+// EffectiveSamples implements sketchapi.Engine (N_eff = t in fixed
 // mode and at λ = 1).
 func (e *Engine) EffectiveSamples() float64 {
 	if e.decay {
@@ -468,7 +435,7 @@ func (e *Engine) SampledFraction() (frac float64, inserted, offered uint64) {
 	return float64(e.insertedSampling) / float64(e.offeredSampling), e.insertedSampling, e.offeredSampling
 }
 
-// Health implements sketchapi.HealthReporter. Call from the goroutine
+// Health implements sketchapi.Engine. Call from the goroutine
 // that owns the engine (the counters are unsynchronized by design).
 func (e *Engine) Health() sketchapi.Health {
 	return sketchapi.Health{

@@ -27,7 +27,7 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	return e.writeTo(w, e.sk.WriteTo)
 }
 
-// WriteToFolded implements sketchapi.FoldedWriter: identical engine
+// WriteToFolded implements sketchapi.Engine: identical engine
 // header, sketch streamed pre-folded to the given level.
 func (e *Engine) WriteToFolded(w io.Writer, level int) (int64, error) {
 	return e.writeTo(w, func(w io.Writer) (int64, error) { return e.sk.WriteToFolded(w, level) })

@@ -106,7 +106,7 @@ func TestOfferPairsWaveMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestWaveGroupTuning pins the WaveTuner surface: default group,
+// TestWaveGroupTuning pins the wave-tuning surface: default group,
 // clamping, and the scalar setting.
 func TestWaveGroupTuning(t *testing.T) {
 	e := newWaveEngine(t, 0, 0)

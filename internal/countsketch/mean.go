@@ -9,7 +9,7 @@ import (
 	"repro/internal/sketchapi"
 )
 
-// MeanSketch adapts a Count Sketch to the Ingestor contract for online
+// MeanSketch adapts a Count Sketch to the Engine contract for online
 // mean estimation (the paper's Algorithm 1): every offered value is
 // inserted scaled by 1/T, so the retrieval at the end of the stream is
 // the estimated mean μ̂_i. This is the "vanilla CS" baseline.
@@ -18,7 +18,7 @@ type MeanSketch struct {
 	invT float64
 	t    int
 
-	// decay/lambda/neff implement sketchapi.Decayer: in decay mode
+	// decay/lambda/neff back the decay methods: in decay mode
 	// BeginStep ages the sketch by λ per step (lazily, via the sketch's
 	// scale accumulator) and invT normalizes by the effective window
 	// instead of a stream horizon. See the Sketch type comment.
@@ -27,12 +27,12 @@ type MeanSketch struct {
 	neff   float64
 
 	// slots is the reusable slot scratch of the fused offer methods
-	// (single-writer by the Ingestor contract; kept off the stack so it
+	// (single-writer by the Engine contract; kept off the stack so it
 	// does not escape through the hash-family interface call).
 	slots [MaxTables]Slot
 
 	// wave is the group-size state and lazily built scratch of the
-	// wave-pipelined OfferPairs path (sketchapi.WaveTuner).
+	// wave-pipelined OfferPairs path (SetWaveGroup).
 	wave WaveTune
 
 	// Health telemetry: CS has no gate, so every offer is admitted mass;
@@ -45,15 +45,7 @@ type MeanSketch struct {
 	waveFbShape uint64
 }
 
-var (
-	_ sketchapi.OfferEstimator = (*MeanSketch)(nil)
-	_ sketchapi.RowOfferer     = (*MeanSketch)(nil)
-	_ sketchapi.Decayer        = (*MeanSketch)(nil)
-	_ sketchapi.WaveTuner      = (*MeanSketch)(nil)
-	_ sketchapi.HealthReporter = (*MeanSketch)(nil)
-	_ sketchapi.Folder         = (*MeanSketch)(nil)
-	_ sketchapi.FoldedWriter   = (*MeanSketch)(nil)
-)
+var _ sketchapi.Engine = (*MeanSketch)(nil)
 
 // NewMeanSketch creates the vanilla-CS engine for a stream of exactly (or
 // at most) totalSamples steps.
@@ -99,13 +91,13 @@ func (m *MeanSketch) BeginStep(t int) {
 	m.t = t
 }
 
-// Decaying implements sketchapi.Decayer.
+// Decaying implements sketchapi.Engine.
 func (m *MeanSketch) Decaying() bool { return m.decay }
 
-// DecayFactor implements sketchapi.Decayer.
+// DecayFactor implements sketchapi.Engine.
 func (m *MeanSketch) DecayFactor() float64 { return m.lambda }
 
-// EffectiveSamples implements sketchapi.Decayer (N_eff = t in fixed
+// EffectiveSamples implements sketchapi.Engine (N_eff = t in fixed
 // mode and at λ = 1).
 func (m *MeanSketch) EffectiveSamples() float64 {
 	if m.decay {
@@ -124,14 +116,14 @@ func (m *MeanSketch) Offer(key uint64, x float64) {
 // Estimate returns the current (t/T-scaled) mean estimate.
 func (m *MeanSketch) Estimate(key uint64) float64 { return m.sk.Estimate(key) }
 
-// EstimateKeys implements sketchapi.OfferEstimator: Estimate of every
+// EstimateKeys implements sketchapi.Engine: Estimate of every
 // key, read through the wave stages in groups of the WaveTune size.
 func (m *MeanSketch) EstimateKeys(keys []uint64, out []float64) {
 	w, g := m.wave.Scratch(m.sk.K())
 	m.sk.EstimateKeys(w, g, keys, out)
 }
 
-// OfferEstimate implements sketchapi.OfferEstimator: insert and
+// OfferEstimate implements sketchapi.Engine: insert and
 // post-insert estimate off one Locate (the per-call path hashes twice).
 func (m *MeanSketch) OfferEstimate(key uint64, x float64) (float64, bool) {
 	m.inserts++
@@ -167,7 +159,7 @@ func (m *MeanSketch) OfferPairs(keys []uint64, xs []float64, ests []float64) {
 }
 
 // offerWave processes one group of ≤ G pairs — the shared wave group
-// body of OfferPairs and the RowOfferer path. ests is nil or len(keys).
+// body of OfferPairs and OfferRow. ests is nil or len(keys).
 func (m *MeanSketch) offerWave(w *Wave, keys []uint64, xs []float64, ests []float64) {
 	n := len(keys)
 	m.waveGroups++
@@ -196,11 +188,12 @@ func (m *MeanSketch) offerWave(w *Wave, keys []uint64, xs []float64, ests []floa
 	}
 }
 
-// OfferRow implements sketchapi.RowOfferer: one row's pairs
-// (rowBase+partners[j], x[j]) with the key materialization amortized to
-// one wrapping vector add per wave group, then the same group body as
-// OfferPairs. Bit-identical to OfferPairs over the materialized keys
-// at any group size (scalar per-pair at g ≤ 1).
+// OfferRow (outside the sketchapi.Engine contract; the benchmark ladder
+// calls it) offers one row's pairs (rowBase+partners[j], x[j]) with the
+// key materialization amortized to one wrapping vector add per wave
+// group, then the same group body as OfferPairs. Bit-identical to
+// OfferPairs over the materialized keys at any group size (scalar
+// per-pair at g ≤ 1).
 func (m *MeanSketch) OfferRow(rowBase uint64, partners []uint64, x []float64, ests []float64) {
 	w, g := m.wave.Scratch(m.sk.K())
 	if g <= 1 {
@@ -217,31 +210,8 @@ func (m *MeanSketch) OfferRow(rowBase uint64, partners []uint64, x []float64, es
 		func(keys []uint64, xs []float64, sub []float64) { m.offerWave(w, keys, xs, sub) })
 }
 
-// OfferRows implements sketchapi.RowOfferer: one sample's whole upper
-// triangle in row-major order, groups packed across row boundaries.
-func (m *MeanSketch) OfferRows(bases, ids []uint64, left, right []float64, ests []float64) {
-	w, g := m.wave.Scratch(m.sk.K())
-	if g <= 1 {
-		p := 0
-		for i := 0; i+1 < len(ids); i++ {
-			base, li := bases[i], left[i]
-			for j := i + 1; j < len(ids); j++ {
-				if ests == nil {
-					m.Offer(base+ids[j], li*right[j])
-				} else {
-					ests[p], _ = m.OfferEstimate(base+ids[j], li*right[j])
-				}
-				p++
-			}
-		}
-		return
-	}
-	WalkRowsGroups(w, g, bases, ids, left, right, ests,
-		func(keys []uint64, xs []float64, sub []float64) { m.offerWave(w, keys, xs, sub) })
-}
-
 // offerPairsScalar is the pre-wave batch loop, kept as the wave path's
-// differential reference (sketchapi.WaveTuner, g = 1).
+// differential reference (SetWaveGroup(1)).
 func (m *MeanSketch) offerPairsScalar(keys []uint64, xs []float64, ests []float64) {
 	for i, key := range keys {
 		m.inserts++
@@ -255,14 +225,14 @@ func (m *MeanSketch) offerPairsScalar(keys []uint64, xs []float64, ests []float6
 	}
 }
 
-// SetWaveGroup implements sketchapi.WaveTuner (g ≤ 1 = scalar loop).
+// SetWaveGroup implements sketchapi.Engine (g ≤ 1 = scalar loop).
 // Not safe concurrently with offers.
 func (m *MeanSketch) SetWaveGroup(g int) { m.wave.Set(g) }
 
-// WaveGroup implements sketchapi.WaveTuner.
+// WaveGroup implements sketchapi.Engine.
 func (m *MeanSketch) WaveGroup() int { return m.wave.Group() }
 
-// Health implements sketchapi.HealthReporter: CS has no admission
+// Health implements sketchapi.Engine: CS has no admission
 // gate, so every offer lands in ExplorationInserts/AdmittedMass and the
 // gate counters stay zero. Call from the owning goroutine.
 func (m *MeanSketch) Health() sketchapi.Health {
@@ -285,16 +255,16 @@ func (m *MeanSketch) Name() string { return "CS" }
 // diagnostics and the ASCS warm-start path).
 func (m *MeanSketch) Sketch() *Sketch { return m.sk }
 
-// Fold implements sketchapi.Folder by folding the underlying table.
+// Fold implements sketchapi.Engine by folding the underlying table.
 func (m *MeanSketch) Fold(levels int) error { return m.sk.Fold(levels) }
 
-// Unfold implements sketchapi.Folder.
+// Unfold implements sketchapi.Engine.
 func (m *MeanSketch) Unfold() { m.sk.Unfold() }
 
-// FoldLevel implements sketchapi.Folder.
+// FoldLevel implements sketchapi.Engine.
 func (m *MeanSketch) FoldLevel() int { return m.sk.FoldLevel() }
 
-// MaxFoldLevels implements sketchapi.Folder.
+// MaxFoldLevels implements sketchapi.Engine.
 func (m *MeanSketch) MaxFoldLevels() int { return m.sk.MaxFoldLevels() }
 
 // Mean-sketch serialization magics: v1 is the fixed-horizon layout, v2
@@ -337,7 +307,7 @@ func (m *MeanSketch) writeTo(w io.Writer, writeSketch func(io.Writer) (int64, er
 	return written + sn, err
 }
 
-// WriteToFolded implements sketchapi.FoldedWriter: the engine header is
+// WriteToFolded implements sketchapi.Engine: the engine header is
 // unchanged, the table streams pre-folded to the given level.
 func (m *MeanSketch) WriteToFolded(w io.Writer, level int) (int64, error) {
 	return m.writeTo(w, func(w io.Writer) (int64, error) { return m.sk.WriteToFolded(w, level) })

@@ -31,7 +31,7 @@ const MaxWaveGroup = 4096
 
 // ClampWaveGroup normalizes a SetWaveGroup argument: anything ≤ 1
 // means "scalar" (returned as 1), anything above MaxWaveGroup is
-// clamped to it. Shared by every engine's WaveTuner implementation.
+// clamped to it. Shared by every engine's SetWaveGroup.
 func ClampWaveGroup(g int) int {
 	if g <= 1 {
 		return 1
@@ -43,8 +43,7 @@ func ClampWaveGroup(g int) int {
 }
 
 // WaveTune is the embeddable group-size state behind every engine's
-// sketchapi.WaveTuner implementation: the configured group (0 = use
-// the default) and the lazily (re)built Wave scratch. One definition
+// SetWaveGroup/WaveGroup: the configured group (0 = use the default) and the lazily (re)built Wave scratch. One definition
 // so clamping, default resolution, and rebuild-on-resize cannot drift
 // between the four engines.
 type WaveTune struct {
@@ -78,7 +77,7 @@ func (t *WaveTune) Scratch(k int) (*Wave, int) {
 
 // Wave is the reusable per-engine scratch of the wave-pipelined batch
 // ingest path. Engines keep one Wave per sketch (single-writer by the
-// Ingestor contract, like the slot buffer of the per-pair fused path)
+// Engine contract, like the slot buffer of the per-pair fused path)
 // so the steady-state group path performs zero allocations.
 //
 // The slot buffer is over-allocated by MaxTables−K entries so that any
@@ -94,14 +93,11 @@ type Wave struct {
 	vs    []float64
 	admit []bool
 
-	// rowKeys/rowXs are the row-expansion staging of the RowOfferer
-	// path (WalkRowGroups / WalkRowsGroups): per group, partner ids are
-	// materialized into pair keys by one vector add of the row base,
-	// and triangle increments into left·right products, so the group
-	// bodies see ordinary key/x slices. L1-resident like the rest of
-	// the scratch.
+	// rowKeys is the row-expansion staging of OfferRow
+	// (WalkRowGroups): per group, partner ids are materialized into pair
+	// keys by one vector add of the row base, so the group bodies see
+	// an ordinary key slice. L1-resident like the rest of the scratch.
 	rowKeys []uint64
-	rowXs   []float64
 
 	// Epoch-stamped open-addressing set over cell offsets, used by
 	// Clean to detect intra-group cell sharing without clearing between
@@ -139,7 +135,6 @@ func NewWave(k, g int) *Wave {
 		vs:       make([]float64, g),
 		admit:    make([]bool, g),
 		rowKeys:  make([]uint64, g),
-		rowXs:    make([]float64, g),
 		scrOff:   make([]int, sc),
 		scrEpoch: make([]uint32, sc),
 	}
@@ -208,16 +203,16 @@ func (w *Wave) Clean(slots []Slot) bool {
 	return true
 }
 
-// WalkRowGroups drives one row of the RowOfferer path through an
-// engine's wave pipeline: partners[lo:hi] chunks of ≤ g are expanded
-// into pair keys rowBase+partner (one wrapping vector add into the
-// Wave's row staging) and handed to group together with the matching
-// x and ests windows. group is each engine's wave group body — the
-// same body its OfferPairs path runs — so the resulting state is
-// bit-identical to OfferPairs over the materialized keys, which is in
-// turn pinned bit-identical to the scalar per-pair path. Shared by all
-// four engines so the expansion cannot drift between them; g must be
-// w.Group() (engines pass their WaveTune.Scratch results straight in).
+// WalkRowGroups drives one OfferRow row through an engine's wave
+// pipeline: partners[lo:hi] chunks of ≤ g are expanded into pair keys
+// rowBase+partner (one wrapping vector add into the Wave's row staging)
+// and handed to group together with the matching x and ests windows.
+// group is each engine's wave group body — the same body its OfferPairs
+// path runs — so the resulting state is bit-identical to OfferPairs over
+// the materialized keys, which is in turn pinned bit-identical to the
+// scalar per-pair path. Shared by all four engines so the expansion
+// cannot drift between them; g must be w.Group() (engines pass their
+// WaveTune.Scratch results straight in).
 func WalkRowGroups(w *Wave, g int, rowBase uint64, partners []uint64, x []float64, ests []float64,
 	group func(keys []uint64, xs []float64, ests []float64)) {
 	for lo := 0; lo < len(partners); lo += g {
@@ -234,45 +229,6 @@ func WalkRowGroups(w *Wave, g int, rowBase uint64, partners []uint64, x []float6
 			sub = ests[lo:hi]
 		}
 		group(keys, x[lo:hi], sub)
-	}
-}
-
-// WalkRowsGroups drives one sample's whole upper triangle through an
-// engine's wave pipeline (the OfferRows form): pairs
-// (bases[i]+ids[j], left[i]·right[j]) for i < j stream in row-major
-// order through the Wave's row staging, packing groups across row
-// boundaries so short rows do not drain the pipeline — exactly the
-// grouping OfferPairs would apply to the materialized pair sequence.
-// ests is nil or m(m−1)/2 entries consumed in the same order. See
-// WalkRowGroups for the group contract.
-func WalkRowsGroups(w *Wave, g int, bases, ids []uint64, left, right []float64, ests []float64,
-	group func(keys []uint64, xs []float64, ests []float64)) {
-	m := len(ids)
-	keys, xs := w.rowKeys[:g], w.rowXs[:g]
-	n, epos := 0, 0
-	for i := 0; i+1 < m; i++ {
-		base, li := bases[i], left[i]
-		for j := i + 1; j < m; j++ {
-			keys[n] = base + ids[j]
-			xs[n] = li * right[j]
-			n++
-			if n == g {
-				var sub []float64
-				if ests != nil {
-					sub = ests[epos : epos+n]
-				}
-				group(keys, xs, sub)
-				epos += n
-				n = 0
-			}
-		}
-	}
-	if n > 0 {
-		var sub []float64
-		if ests != nil {
-			sub = ests[epos : epos+n]
-		}
-		group(keys[:n], xs[:n], sub)
 	}
 }
 

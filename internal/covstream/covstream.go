@@ -1,11 +1,11 @@
 // Package covstream turns a stream of samples Y^(t) ∈ R^d into the pair
 // stream X ∈ R^p that the sketching engines consume (§3-§5 of the
-// paper): it enumerates feature pairs per sample, forms the covariance
-// increments (either the E[YaYb] second-moment approximation of §5 or
-// the exactly-centered update of §4 with its adjustment term), skips
-// zero features, and retrieves the top estimated pairs at the end —
-// exhaustively for small p, via a bounded candidate tracker for the
-// trillion-entry regime of Table 2.
+// paper): it enumerates the non-zero feature pairs of each sample, forms
+// the §5 second-moment increments x = ya·yb (Cov(Ya,Yb) ≈ E[YaYb], exact
+// for zero-mean, e.g. standardized, features and the only increment for
+// which skipping zero features is lossless), and retrieves the top
+// estimated pairs at the end — exhaustively for small p, via a bounded
+// candidate tracker for the trillion-entry regime of Table 2.
 package covstream
 
 import (
@@ -18,32 +18,6 @@ import (
 	"repro/internal/topk"
 )
 
-// Mode selects how pair increments are formed.
-type Mode int
-
-const (
-	// SecondMoment inserts x = ya·yb, the paper's §5 approximation
-	// Cov(Ya,Yb) ≈ E[YaYb], exact for zero-mean (e.g. standardized)
-	// features and the only mode where zero-skipping is lossless.
-	SecondMoment Mode = iota
-	// Centered inserts x = (ya − ȳa)(yb − ȳb) using running feature
-	// means (§4), optionally with the adjustment term that makes the
-	// accumulated sum exactly the centered co-moment at every step.
-	Centered
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case SecondMoment:
-		return "second-moment"
-	case Centered:
-		return "centered"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Config configures an Estimator.
 type Config struct {
 	// Dim is the feature dimensionality d.
@@ -51,15 +25,7 @@ type Config struct {
 	// T is the stream length the engine was built for.
 	T int
 	// Engine is the sketching engine (CS, ASCS, ASketch, ColdFilter).
-	Engine sketchapi.Ingestor
-	// Mode selects the increment formula.
-	Mode Mode
-	// Adjustment enables the §4 adjustment term (Centered mode only).
-	Adjustment bool
-	// MeanCutoff (Centered mode): zero-valued features whose running
-	// |mean| exceeds this are still paired (the paper's n_u set). Zero
-	// keeps strict zero-skipping.
-	MeanCutoff float64
+	Engine sketchapi.Engine
 	// TrackCandidates, when positive, maintains a bounded candidate set
 	// of keys offered to the engine (capacity TrackCandidates) so Top
 	// works when p is too large to enumerate.
@@ -84,40 +50,26 @@ type PairEstimate struct {
 	Estimate float64
 }
 
-// pairBatch is the flush threshold of the batched pair-offer buffers:
-// large enough to amortize interface dispatch across an OfferPairs call,
-// small enough that the key/increment/estimate scratch stays
-// cache-resident. Flushes happen only on row boundaries, so a buffer may
-// exceed it by up to one row before draining.
+// pairBatch is the flush threshold of the pair buffer: large enough to
+// amortize interface dispatch across an OfferPairs call, small enough
+// that the key/increment/estimate scratch stays cache-resident. Flushes
+// happen only on row boundaries, so a buffer may exceed it by up to one
+// row before draining.
 const pairBatch = 2048
-
-// maxRowEsts caps the per-sample estimate scratch of the tracked row
-// path (OfferRows needs m(m−1)/2 estimate slots for a sample with m
-// active features). Denser samples fall back to the row-aligned
-// pair-buffer path, which flushes in bounded batches.
-const maxRowEsts = 1 << 20
 
 // Estimator drives an engine over a sample stream.
 type Estimator struct {
 	cfg   Config
 	t     int
-	means []float64 // running feature means (Centered mode)
-	prev  []float64 // scratch: previous means during an update
 	track *topk.Tracker
-	fast  sketchapi.OfferEstimator // non-nil when Engine supports the fused path
-	row   sketchapi.RowOfferer     // non-nil when Engine supports the row path
 
-	active []int // scratch: active feature indices of current sample
-	vals   []float64
-	keys   []uint64  // scratch: batched pair keys awaiting flush
-	xs     []float64 // scratch: matching increments
-	ests   []float64 // scratch: post-offer estimates (tracked runs)
+	keys []uint64  // scratch: buffered pair keys awaiting flush
+	xs   []float64 // scratch: matching increments
+	ests []float64 // scratch: post-offer estimates (tracked runs only)
 
-	rowBases []uint64  // scratch: per-row pair bases of current sample
-	rowIDs   []uint64  // scratch: active feature ids as uint64
-	rowLeft  []float64 // scratch: row factors (Centered mode)
-	rowRight []float64 // scratch: partner factors (Centered mode)
-	rowEsts  []float64 // scratch: OfferRows estimates (tracked runs)
+	// tap, when set, sees every flushed batch before the engine does
+	// (the warm-up's σ and census accumulate over it).
+	tap func(keys []uint64, xs []float64)
 }
 
 // New validates cfg and builds an estimator.
@@ -131,15 +83,6 @@ func New(cfg Config) (*Estimator, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("covstream: Engine is required")
 	}
-	if cfg.Mode != SecondMoment && cfg.Mode != Centered {
-		return nil, fmt.Errorf("covstream: unknown mode %v", cfg.Mode)
-	}
-	if cfg.Adjustment && cfg.Mode != Centered {
-		return nil, fmt.Errorf("covstream: Adjustment requires Centered mode")
-	}
-	if cfg.MeanCutoff < 0 {
-		return nil, fmt.Errorf("covstream: MeanCutoff must be ≥ 0")
-	}
 	if cfg.MaxExhaustivePairs == 0 {
 		cfg.MaxExhaustivePairs = 20_000_000
 	}
@@ -151,36 +94,19 @@ func New(cfg Config) (*Estimator, error) {
 	// Decay mode must agree between the driver and the engine: a decayed
 	// engine under a fixed-horizon estimator (or vice versa) would mix
 	// window-normalized tables with horizon bookkeeping silently.
-	dec, _ := cfg.Engine.(sketchapi.Decayer)
-	engineDecaying := dec != nil && dec.Decaying()
-	if cfg.Decay != 0 && !engineDecaying {
-		return nil, fmt.Errorf("covstream: Decay=%v but engine %s is not in decay mode", cfg.Decay, cfg.Engine.Name())
+	eng := cfg.Engine
+	if cfg.Decay != 0 && !eng.Decaying() {
+		return nil, fmt.Errorf("covstream: Decay=%v but engine %s is not in decay mode", cfg.Decay, eng.Name())
 	}
-	if cfg.Decay == 0 && engineDecaying {
-		return nil, fmt.Errorf("covstream: engine %s is in decay mode (λ=%v) but Config.Decay is unset", cfg.Engine.Name(), dec.DecayFactor())
+	if cfg.Decay == 0 && eng.Decaying() {
+		return nil, fmt.Errorf("covstream: engine %s is in decay mode (λ=%v) but Config.Decay is unset", eng.Name(), eng.DecayFactor())
 	}
-	if cfg.Decay != 0 && dec.DecayFactor() != cfg.Decay {
-		return nil, fmt.Errorf("covstream: Config.Decay=%v disagrees with engine λ=%v", cfg.Decay, dec.DecayFactor())
+	if cfg.Decay != 0 && eng.DecayFactor() != cfg.Decay {
+		return nil, fmt.Errorf("covstream: Config.Decay=%v disagrees with engine λ=%v", cfg.Decay, eng.DecayFactor())
 	}
 	e := &Estimator{cfg: cfg}
-	if cfg.Mode == Centered {
-		e.means = make([]float64, cfg.Dim)
-		e.prev = make([]float64, cfg.Dim)
-	}
 	if cfg.TrackCandidates > 0 {
 		e.track = topk.NewTracker(cfg.TrackCandidates)
-	}
-	if f, ok := cfg.Engine.(sketchapi.OfferEstimator); ok {
-		e.fast = f
-	}
-	if r, ok := cfg.Engine.(sketchapi.RowOfferer); ok {
-		e.row = r
-	}
-	e.keys = make([]uint64, 0, pairBatch)
-	e.xs = make([]float64, 0, pairBatch)
-	if e.fast != nil && e.track != nil {
-		// Only the fast+tracked flush branch reads the estimates.
-		e.ests = make([]float64, pairBatch)
 	}
 	return e, nil
 }
@@ -189,9 +115,14 @@ func New(cfg Config) (*Estimator, error) {
 func (e *Estimator) Steps() int { return e.t }
 
 // Engine returns the underlying engine.
-func (e *Estimator) Engine() sketchapi.Ingestor { return e.cfg.Engine }
+func (e *Estimator) Engine() sketchapi.Engine { return e.cfg.Engine }
 
-// Observe feeds one sample.
+// Observe feeds one sample: x = ya·yb over its non-zero pairs only
+// (zeros contribute nothing). For fixed a the pair keys of increasing b
+// are base + b (pairs.Index is row-major), so the sample is a set of
+// rows sharing one base each; the keys and increments are materialized
+// row by row and flushed, on row boundaries, through OfferPairs — the
+// shard worker's ingest shape.
 func (e *Estimator) Observe(s stream.Sample) error {
 	if err := s.Validate(e.cfg.Dim); err != nil {
 		return err
@@ -206,207 +137,49 @@ func (e *Estimator) Observe(s stream.Sample) error {
 	if e.cfg.Decay != 0 && e.track != nil {
 		e.track.Decay(e.cfg.Decay)
 	}
-	switch e.cfg.Mode {
-	case SecondMoment:
-		e.observeSecondMoment(s)
-	case Centered:
-		e.observeCentered(s)
+	idx, val := s.Idx, s.Val
+	for i := 0; i+1 < len(idx); i++ {
+		rowBase := uint64(pairs.RowBase(idx[i], e.cfg.Dim))
+		ya := val[i]
+		for j := i + 1; j < len(idx); j++ {
+			e.keys = append(e.keys, rowBase+uint64(idx[j]))
+			e.xs = append(e.xs, ya*val[j])
+		}
+		if len(e.keys) >= pairBatch {
+			e.flush()
+		}
 	}
+	e.flush()
 	return nil
 }
 
-func (e *Estimator) observeSecondMoment(s stream.Sample) {
-	// x = ya·yb over non-zero pairs only: zeros contribute nothing. For
-	// fixed a the pair keys of increasing b are base + b (pairs.Index is
-	// row-major), so the whole sample is a set of rows sharing one base
-	// each — exactly the RowOfferer triangle shape: ids are the active
-	// features, left = right = their values.
-	idx, val := s.Idx, s.Val
-	d := e.cfg.Dim
-	if e.row != nil && len(idx) > 1 {
-		e.rowIDs = e.rowIDs[:0]
-		e.rowBases = e.rowBases[:0]
-		for i, ix := range idx {
-			e.rowIDs = append(e.rowIDs, uint64(ix))
-			if i+1 < len(idx) {
-				e.rowBases = append(e.rowBases, uint64(pairs.RowBase(ix, d)))
-			}
-		}
-		if e.observeRows(e.rowBases, e.rowIDs, val, val) {
-			return
-		}
-	}
-	for i := 0; i+1 < len(idx); i++ {
-		rowBase := pairs.RowBase(idx[i], d)
-		ya := val[i]
-		for j := i + 1; j < len(idx); j++ {
-			e.bufferPair(uint64(rowBase+int64(idx[j])), ya*val[j])
-		}
-		e.flushRowAligned()
-	}
-	e.flushPairs()
-}
-
-// observeRows feeds one sample's upper triangle through the engine's
-// row path. It reports false when the tracked estimate scratch would
-// exceed maxRowEsts, in which case the caller must run the buffered
-// pair path instead.
-func (e *Estimator) observeRows(bases, ids []uint64, left, right []float64) bool {
-	m := len(ids)
-	if e.track == nil {
-		e.row.OfferRows(bases, ids, left, right, nil)
-		return true
-	}
-	p := m * (m - 1) / 2
-	if p > maxRowEsts {
-		return false
-	}
-	if cap(e.rowEsts) < p {
-		e.rowEsts = make([]float64, p)
-	}
-	ests := e.rowEsts[:p]
-	e.row.OfferRows(bases, ids, left, right, ests)
-	n := 0
-	for i := 0; i+1 < m; i++ {
-		base := bases[i]
-		for j := i + 1; j < m; j++ {
-			e.track.Offer(base+ids[j], math.Abs(ests[n]))
-			n++
-		}
-	}
-	return true
-}
-
-func (e *Estimator) observeCentered(s stream.Sample) {
-	d := e.cfg.Dim
-	copy(e.prev, e.means)
-	// Update running means over all features (zeros implicit).
-	tf := float64(e.t)
-	for j := 0; j < d; j++ {
-		e.means[j] *= (tf - 1) / tf
-	}
-	for i, ix := range s.Idx {
-		e.means[ix] += s.Val[i] / tf
-	}
-	// Active set: non-zero features plus heavy-mean features (n_u).
-	e.active = e.active[:0]
-	e.vals = e.vals[:0]
-	si := 0
-	for j := 0; j < d; j++ {
-		v := 0.0
-		if si < len(s.Idx) && s.Idx[si] == j {
-			v = s.Val[si]
-			si++
-		}
-		if v != 0 || math.Abs(e.means[j]) > e.cfg.MeanCutoff || (e.cfg.MeanCutoff == 0 && e.means[j] != 0) {
-			e.active = append(e.active, j)
-			e.vals = append(e.vals, v)
-		}
-	}
-	// Both factors of the centered increment are row- or sample-constant:
-	// x = (ya − pa)·(yb − ȳb(t)) with pa fixed per row and ȳb(t) fixed
-	// per sample — so the triangle factors into left[i]·right[j] and fits
-	// the RowOfferer shape exactly (the products are formed in the same
-	// order with the same operands, so they are bit-identical).
-	m := len(e.active)
-	if e.row != nil && m > 1 {
-		e.rowIDs, e.rowBases = e.rowIDs[:0], e.rowBases[:0]
-		e.rowLeft, e.rowRight = e.rowLeft[:0], e.rowRight[:0]
-		for i, a := range e.active {
-			e.rowIDs = append(e.rowIDs, uint64(a))
-			e.rowRight = append(e.rowRight, e.vals[i]-e.means[a])
-			if i+1 < m {
-				e.rowBases = append(e.rowBases, uint64(pairs.RowBase(a, d)))
-				pa := e.means[a]
-				if e.cfg.Adjustment {
-					// Exact telescoping of §4: the paper's adjustment
-					// makes Σ_k X^(k) equal Σ_k (ya(k)−ȳa(t))(yb(k)−ȳb(t))
-					// at every t. The closed form of that difference is
-					// the Welford co-moment update (one pre-update mean,
-					// one post-update mean):
-					// S(t)−S(t−1) = (ya−ȳa(t−1))·(yb−ȳb(t)).
-					pa = e.prev[a]
-				}
-				e.rowLeft = append(e.rowLeft, e.vals[i]-pa)
-			}
-		}
-		if e.observeRows(e.rowBases, e.rowIDs, e.rowLeft, e.rowRight) {
-			return
-		}
-	}
-	for i := 0; i+1 < m; i++ {
-		a := e.active[i]
-		rowBase := pairs.RowBase(a, d)
-		var ya, pa float64
-		if e.cfg.Adjustment {
-			ya, pa = e.vals[i], e.prev[a]
-		} else {
-			// The paper's approximation: drop the adjustment and use
-			// the current means on both sides.
-			ya, pa = e.vals[i], e.means[a]
-		}
-		for j := i + 1; j < m; j++ {
-			b := e.active[j]
-			x := (ya - pa) * (e.vals[j] - e.means[b])
-			e.bufferPair(uint64(rowBase+int64(b)), x)
-		}
-		e.flushRowAligned()
-	}
-	e.flushPairs()
-}
-
-// bufferPair queues one pair increment for the current step. It never
-// flushes on its own: flushes must land on row boundaries (a row split
-// across two OfferPairs calls would split its wave groups differently
-// than the row path does), so the observe loops call flushRowAligned at
-// the end of each row instead.
-func (e *Estimator) bufferPair(key uint64, x float64) {
-	e.keys = append(e.keys, key)
-	e.xs = append(e.xs, x)
-}
-
-// flushRowAligned drains the pair buffer when it has reached the batch
-// threshold. Called only at row boundaries, so batches may exceed
-// pairBatch by up to one row but never split a row.
-func (e *Estimator) flushRowAligned() {
-	if len(e.keys) >= pairBatch {
-		e.flushPairs()
-	}
-}
-
-// flushPairs drains the queued pair increments: one OfferPairs call on
-// the fused fast path (the engine hashes each key exactly once, and the
-// candidate tracker reuses the gate/insert estimates instead of
-// re-hashing), or per-call Offer+Estimate for engines without it.
-func (e *Estimator) flushPairs() {
+// flush drains the buffered pairs through one OfferPairs call: the
+// engine hashes each key once, and with candidate tracking the tracker
+// reuses the gate/insert estimates, offered in the same order. This is
+// exact at any batch split — engine state does not depend on how offers
+// are split into calls, and the tracker never feeds back into the
+// engine.
+func (e *Estimator) flush() {
 	keys, xs := e.keys, e.xs
 	if len(keys) == 0 {
 		return
 	}
-	switch {
-	case e.fast != nil && e.track != nil:
+	if e.tap != nil {
+		e.tap(keys, xs)
+	}
+	if e.track == nil {
+		e.cfg.Engine.OfferPairs(keys, xs, nil)
+	} else {
 		if cap(e.ests) < len(keys) {
-			// Row-aligned batches can overshoot pairBatch by one row.
 			e.ests = make([]float64, len(keys))
 		}
 		ests := e.ests[:len(keys)]
-		e.fast.OfferPairs(keys, xs, ests)
+		e.cfg.Engine.OfferPairs(keys, xs, ests)
 		for i, key := range keys {
 			e.track.Offer(key, math.Abs(ests[i]))
 		}
-	case e.fast != nil:
-		e.fast.OfferPairs(keys, xs, nil)
-	default:
-		eng := e.cfg.Engine
-		for i, key := range keys {
-			eng.Offer(key, xs[i])
-			if e.track != nil {
-				e.track.Offer(key, math.Abs(eng.Estimate(key)))
-			}
-		}
 	}
-	e.keys = keys[:0]
-	e.xs = xs[:0]
+	e.keys, e.xs = keys[:0], xs[:0]
 }
 
 // Run drains src through Observe, returning the number of samples
@@ -456,7 +229,7 @@ func (e *Estimator) top(k int, rank func(float64) float64) ([]PairEstimate, erro
 	var items []topk.Item
 	if e.track != nil {
 		items = e.track.TopBatch(k, func(keys []uint64, scores []float64) {
-			e.estimateKeys(keys, scores)
+			e.cfg.Engine.EstimateKeys(keys, scores)
 			for i, v := range scores {
 				scores[i] = rank(v)
 			}
@@ -473,7 +246,7 @@ func (e *Estimator) top(k int, rank func(float64) float64) ([]PairEstimate, erro
 		keys[i] = it.Key
 	}
 	ests := make([]float64, len(items))
-	e.estimateKeys(keys, ests)
+	e.cfg.Engine.EstimateKeys(keys, ests)
 	out := make([]PairEstimate, len(items))
 	for i, key := range keys {
 		a, b := pairs.Decode(int64(key), d)
@@ -498,24 +271,12 @@ func (e *Estimator) scanAll(k int, p int64, rank func(float64) float64) []topk.I
 		for i := range n {
 			keys[i] = uint64(lo) + uint64(i)
 		}
-		e.estimateKeys(keys[:n], ests[:n])
+		e.cfg.Engine.EstimateKeys(keys[:n], ests[:n])
 		for i, v := range ests[:n] {
 			h.Push(keys[i], rank(v))
 		}
 	}
 	return h.SortedDesc()
-}
-
-// estimateKeys fills out[i] with the engine's estimate of keys[i],
-// through the wave stages' batch read when the engine has one.
-func (e *Estimator) estimateKeys(keys []uint64, out []float64) {
-	if e.fast != nil {
-		e.fast.EstimateKeys(keys, out)
-		return
-	}
-	for i, key := range keys {
-		out[i] = e.cfg.Engine.Estimate(key)
-	}
 }
 
 // RankedKeys returns all p pair keys ordered by descending estimate

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/countsketch"
-	"repro/internal/matrix"
 	"repro/internal/pairs"
 	"repro/internal/stream"
 )
@@ -27,9 +26,6 @@ func TestNewValidation(t *testing.T) {
 		{Dim: 1, T: 10, Engine: eng},
 		{Dim: 5, T: 0, Engine: eng},
 		{Dim: 5, T: 10},
-		{Dim: 5, T: 10, Engine: eng, Mode: Mode(9)},
-		{Dim: 5, T: 10, Engine: eng, Mode: SecondMoment, Adjustment: true},
-		{Dim: 5, T: 10, Engine: eng, Mode: Centered, MeanCutoff: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -38,17 +34,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if SecondMoment.String() != "second-moment" || Centered.String() != "centered" {
-		t.Error("mode strings wrong")
-	}
-	if Mode(7).String() == "" {
-		t.Error("unknown mode should still render")
-	}
-}
-
 func TestObserveRejectsBadSamples(t *testing.T) {
-	e, err := New(Config{Dim: 4, T: 5, Engine: bigCS(t, 5), Mode: SecondMoment})
+	e, err := New(Config{Dim: 4, T: 5, Engine: bigCS(t, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +48,7 @@ func TestObserveRejectsBadSamples(t *testing.T) {
 }
 
 func TestObserveRejectsOverrun(t *testing.T) {
-	e, _ := New(Config{Dim: 3, T: 2, Engine: bigCS(t, 2), Mode: SecondMoment})
+	e, _ := New(Config{Dim: 3, T: 2, Engine: bigCS(t, 2)})
 	s := stream.Sample{Idx: []int{0, 1}, Val: []float64{1, 1}}
 	if err := e.Observe(s); err != nil {
 		t.Fatal(err)
@@ -92,7 +79,7 @@ func TestSecondMomentMatchesExactEYaYb(t *testing.T) {
 		}
 	}
 	eng := bigCS(t, T)
-	e, err := New(Config{Dim: d, T: T, Engine: eng, Mode: SecondMoment})
+	e, err := New(Config{Dim: d, T: T, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,71 +104,6 @@ func TestSecondMomentMatchesExactEYaYb(t *testing.T) {
 	}
 }
 
-func TestCenteredWithAdjustmentMatchesExactCovariance(t *testing.T) {
-	// The §4 claim: with the adjustment term, the accumulated sum equals
-	// Σ(ya−ȳa(T))(yb−ȳb(T)) exactly, i.e. T times the population
-	// covariance of the observed rows.
-	const d, T = 6, 150
-	rng := rand.New(rand.NewSource(2))
-	rows := make([][]float64, T)
-	for i := range rows {
-		rows[i] = make([]float64, d)
-		for j := range rows[i] {
-			rows[i][j] = rng.NormFloat64() + 0.5 // non-zero means matter here
-		}
-	}
-	eng := bigCS(t, T)
-	e, err := New(Config{Dim: d, T: T, Engine: eng, Mode: Centered, Adjustment: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(stream.NewMatrixSource(rows)); err != nil {
-		t.Fatal(err)
-	}
-	cov, err := matrix.ExactCovariance(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < d; a++ {
-		for b := a + 1; b < d; b++ {
-			// Population covariance (n denominator) vs sample (n-1).
-			want := cov.At(a, b) * float64(T-1) / float64(T)
-			if got := e.EstimatePair(a, b); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("pair (%d,%d): %v vs %v", a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestCenteredWithoutAdjustmentClose(t *testing.T) {
-	// Without the adjustment the result is approximate but close once
-	// t is large (§4: "the adjustment is very small and almost
-	// negligible").
-	const d, T = 5, 800
-	rng := rand.New(rand.NewSource(3))
-	rows := make([][]float64, T)
-	for i := range rows {
-		rows[i] = make([]float64, d)
-		for j := range rows[i] {
-			rows[i][j] = rng.NormFloat64() + 1
-		}
-	}
-	eng := bigCS(t, T)
-	e, _ := New(Config{Dim: d, T: T, Engine: eng, Mode: Centered})
-	if _, err := e.Run(stream.NewMatrixSource(rows)); err != nil {
-		t.Fatal(err)
-	}
-	cov, _ := matrix.ExactCovariance(rows)
-	for a := 0; a < d; a++ {
-		for b := a + 1; b < d; b++ {
-			want := cov.At(a, b) * float64(T-1) / float64(T)
-			if got := e.EstimatePair(a, b); math.Abs(got-want) > 0.05 {
-				t.Fatalf("pair (%d,%d): %v vs %v", a, b, got, want)
-			}
-		}
-	}
-}
-
 func TestTopExhaustive(t *testing.T) {
 	// Plant one strong pair; Top(1) must find it.
 	const d, T = 10, 300
@@ -199,7 +121,7 @@ func TestTopExhaustive(t *testing.T) {
 		}
 	}
 	eng := bigCS(t, T)
-	e, _ := New(Config{Dim: d, T: T, Engine: eng, Mode: SecondMoment})
+	e, _ := New(Config{Dim: d, T: T, Engine: eng})
 	if _, err := e.Run(stream.NewMatrixSource(rows)); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +161,7 @@ func TestTopWithTrackerMatchesExhaustive(t *testing.T) {
 	}
 	run := func(trackCap int) []PairEstimate {
 		eng := bigCS(t, T)
-		e, _ := New(Config{Dim: d, T: T, Engine: eng, Mode: SecondMoment, TrackCandidates: trackCap})
+		e, _ := New(Config{Dim: d, T: T, Engine: eng, TrackCandidates: trackCap})
 		if _, err := e.Run(stream.NewMatrixSource(rows)); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +185,7 @@ func TestTopWithTrackerMatchesExhaustive(t *testing.T) {
 
 func TestTopRefusesHugeExhaustive(t *testing.T) {
 	eng := bigCS(t, 10)
-	e, _ := New(Config{Dim: 100000, T: 10, Engine: eng, Mode: SecondMoment, MaxExhaustivePairs: 1000})
+	e, _ := New(Config{Dim: 100000, T: 10, Engine: eng, MaxExhaustivePairs: 1000})
 	if _, err := e.Top(5); err == nil {
 		t.Error("expected exhaustive-limit error")
 	}
@@ -283,7 +205,7 @@ func TestRankedKeysOrder(t *testing.T) {
 		}
 	}
 	eng := bigCS(t, T)
-	e, _ := New(Config{Dim: d, T: T, Engine: eng, Mode: SecondMoment})
+	e, _ := New(Config{Dim: d, T: T, Engine: eng})
 	if _, err := e.Run(stream.NewMatrixSource(rows)); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +243,7 @@ func TestWarmupPercentiles(t *testing.T) {
 		}
 	}
 	w, err := Warmup(stream.NewMatrixSource(rows), 300,
-		countsketch.Config{Tables: 5, Range: 1 << 14, Seed: 9}, SecondMoment, 0, 1)
+		countsketch.Config{Tables: 5, Range: 1 << 14, Seed: 9}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,14 +270,14 @@ func TestWarmupPercentiles(t *testing.T) {
 }
 
 func TestWarmupErrors(t *testing.T) {
-	if _, err := Warmup(stream.NewMatrixSource(nil), 0, countsketch.Config{Tables: 5, Range: 8}, SecondMoment, 0, 1); err == nil {
+	if _, err := Warmup(stream.NewMatrixSource(nil), 0, countsketch.Config{Tables: 5, Range: 8}, 0, 1); err == nil {
 		t.Error("warmupN=0 should error")
 	}
-	if _, err := Warmup(stream.NewMatrixSource(nil), 10, countsketch.Config{}, SecondMoment, 0, 1); err == nil {
+	if _, err := Warmup(stream.NewMatrixSource(nil), 10, countsketch.Config{}, 0, 1); err == nil {
 		t.Error("bad sketch config should error")
 	}
 	empty := stream.NewMatrixSource([][]float64{})
-	if _, err := Warmup(empty, 10, countsketch.Config{Tables: 5, Range: 8}, SecondMoment, 0, 1); err == nil {
+	if _, err := Warmup(empty, 10, countsketch.Config{Tables: 5, Range: 8}, 0, 1); err == nil {
 		t.Error("empty stream should error")
 	}
 }
@@ -372,7 +294,7 @@ func TestWarmupSeenCensusCapped(t *testing.T) {
 		}
 	}
 	w, err := Warmup(stream.NewMatrixSource(rows), T,
-		countsketch.Config{Tables: 5, Range: 1 << 12, Seed: 2}, SecondMoment, 500, 3)
+		countsketch.Config{Tables: 5, Range: 1 << 12, Seed: 2}, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +319,7 @@ func TestWarmupPercentileRanksAgainstFullP(t *testing.T) {
 		samples[i] = stream.Sample{Idx: []int{5, 9}, Val: []float64{1, 1}}
 	}
 	w, err := Warmup(stream.NewSliceSource(samples, d), 100,
-		countsketch.Config{Tables: 5, Range: 1 << 12, Seed: 4}, SecondMoment, 0, 1)
+		countsketch.Config{Tables: 5, Range: 1 << 12, Seed: 4}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,37 +339,6 @@ func TestWarmupPercentileRanksAgainstFullP(t *testing.T) {
 	}
 }
 
-func TestCenteredSparseZeroSkipWithCutoff(t *testing.T) {
-	// Sparse stream with zero-mean features: with a generous MeanCutoff
-	// the n_u set stays empty and only non-zero pairs are formed, but the
-	// covariance of co-occurring features is still recovered.
-	const d, T = 20, 600
-	rng := rand.New(rand.NewSource(9))
-	rows := make([][]float64, T)
-	for i := range rows {
-		rows[i] = make([]float64, d)
-		if rng.Float64() < 0.5 {
-			z := rng.NormFloat64()
-			rows[i][3] = z
-			rows[i][4] = z
-		}
-	}
-	eng := bigCS(t, T)
-	e, _ := New(Config{Dim: d, T: T, Engine: eng, Mode: Centered, MeanCutoff: 10})
-	if _, err := e.Run(stream.NewMatrixSource(rows)); err != nil {
-		t.Fatal(err)
-	}
-	// E[(ya-ma)(yb-mb)] over co-firing samples only ≈ E[z²]·P(fire); the
-	// estimate must be clearly positive and the top pair.
-	top, err := e.Top(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top[0].A != 3 || top[0].B != 4 {
-		t.Errorf("top = %+v", top[0])
-	}
-}
-
 func TestWarmupSaturatedCensusStaysUnbiased(t *testing.T) {
 	// Dense stream with many distinct pairs; cap the census well below
 	// the distinct count and compare percentiles against the exact
@@ -462,11 +353,11 @@ func TestWarmupSaturatedCensusStaysUnbiased(t *testing.T) {
 		}
 	}
 	cfg := countsketch.Config{Tables: 5, Range: 1 << 13, Seed: 3}
-	full, err := Warmup(stream.NewMatrixSource(rows), T, cfg, SecondMoment, 1_000_000, 1)
+	full, err := Warmup(stream.NewMatrixSource(rows), T, cfg, 1_000_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Warmup(stream.NewMatrixSource(rows), T, cfg, SecondMoment, 500, 1)
+	capped, err := Warmup(stream.NewMatrixSource(rows), T, cfg, 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +395,7 @@ func TestTopMagnitudeWithAndWithoutTracker(t *testing.T) {
 	}
 	for _, track := range []int{0, 100} {
 		eng := bigCS(t, T)
-		e, _ := New(Config{Dim: d, T: T, Engine: eng, Mode: SecondMoment, TrackCandidates: track})
+		e, _ := New(Config{Dim: d, T: T, Engine: eng, TrackCandidates: track})
 		if _, err := e.Run(stream.NewMatrixSource(rows)); err != nil {
 			t.Fatal(err)
 		}

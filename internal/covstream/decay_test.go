@@ -47,7 +47,7 @@ func TestDecayedLambda1DifferentialAllEngines(t *testing.T) {
 	l1Cfg := countsketch.Config{Tables: 3, Range: 256, Seed: 18}
 	schedule := core.Hyperparams{T0: 30, Theta: 0.05, Tau0: 1e-4, T: T}
 
-	build := func(name string, decayed bool) sketchapi.Ingestor {
+	build := func(name string, decayed bool) sketchapi.Engine {
 		switch name {
 		case "CS":
 			if decayed {
@@ -109,14 +109,14 @@ func TestDecayedLambda1DifferentialAllEngines(t *testing.T) {
 	for _, name := range []string{"CS", "ASCS", "ASketch", "ColdFilter"} {
 		fixed, err := New(Config{
 			Dim: dim, T: T, Engine: build(name, false),
-			Mode: SecondMoment, TrackCandidates: 1 << 10,
+			TrackCandidates: 1 << 10,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		dec, err := New(Config{
 			Dim: dim, T: T, Engine: build(name, true),
-			Mode: SecondMoment, TrackCandidates: 1 << 10, Decay: 1,
+			TrackCandidates: 1 << 10, Decay: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package covstream
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,71 +15,87 @@ import (
 	"repro/internal/stream"
 )
 
-// slowShim hides an engine's fast path so the estimator falls back to
-// the per-call Offer+Estimate sequence — the pre-fusion hot path, kept
-// reachable exactly so this differential test can compare against it.
-type slowShim struct{ inner sketchapi.Ingestor }
+// engineKinds names the four engines buildKind constructs.
+var engineKinds = []string{"CS", "ASCS", "ASketch", "ColdFilter"}
 
-func (s slowShim) BeginStep(t int)             { s.inner.BeginStep(t) }
-func (s slowShim) Offer(key uint64, x float64) { s.inner.Offer(key, x) }
-func (s slowShim) Estimate(key uint64) float64 { return s.inner.Estimate(key) }
-func (s slowShim) Bytes() int                  { return s.inner.Bytes() }
-func (s slowShim) Name() string                { return s.inner.Name() }
-
-// fusedEngines builds a same-seeded engine pair of each kind.
-func fusedEngines(t *testing.T, T int) map[string][2]sketchapi.Ingestor {
+// buildKind builds a same-seeded engine of the named kind for a stream
+// of T samples: fixed-horizon when lambda is 0, decayed by lambda
+// otherwise (T is then the window normalizer).
+func buildKind(t *testing.T, kind string, T int, lambda float64) sketchapi.Engine {
 	t.Helper()
-	out := make(map[string][2]sketchapi.Ingestor)
-	mk := func(name string, build func() sketchapi.Ingestor) {
-		out[name] = [2]sketchapi.Ingestor{build(), build()}
-	}
 	skCfg := countsketch.Config{Tables: 5, Range: 512, Seed: 77}
-	mk("CS", func() sketchapi.Ingestor {
-		ms, err := countsketch.NewMeanSketch(skCfg, T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms
-	})
-	mk("ASCS", func() sketchapi.Ingestor {
-		eng, err := core.NewEngine(skCfg, core.Hyperparams{T0: T / 8, Theta: 0.05, Tau0: 1e-4, T: T}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	})
-	mk("ASketch", func() sketchapi.Ingestor {
-		a, err := baselines.NewASketch(skCfg, T, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	})
-	mk("ColdFilter", func() sketchapi.Ingestor {
-		cf, err := baselines.NewColdFilter(
-			countsketch.Config{Tables: 5, Range: 128, Seed: 78},
-			countsketch.Config{Tables: 5, Range: 512, Seed: 77}, T, 0.002)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cf
-	})
-	return out
+	l1Cfg := countsketch.Config{Tables: 5, Range: 128, Seed: 78}
+	hp := core.Hyperparams{T0: T / 8, Theta: 0.05, Tau0: 1e-4, T: T}
+	var (
+		eng sketchapi.Engine
+		err error
+	)
+	switch {
+	case kind == "CS" && lambda == 0:
+		eng, err = countsketch.NewMeanSketch(skCfg, T)
+	case kind == "CS":
+		eng, err = countsketch.NewMeanSketchDecayed(skCfg, T, lambda)
+	case kind == "ASCS" && lambda == 0:
+		eng, err = core.NewEngine(skCfg, hp, true)
+	case kind == "ASCS":
+		eng, err = core.NewEngineDecayed(skCfg, hp, true, lambda)
+	case kind == "ASketch" && lambda == 0:
+		eng, err = baselines.NewASketch(skCfg, T, 8)
+	case kind == "ASketch":
+		eng, err = baselines.NewASketchDecayed(skCfg, T, 8, lambda)
+	case kind == "ColdFilter" && lambda == 0:
+		eng, err = baselines.NewColdFilter(l1Cfg, skCfg, T, 0.002)
+	case kind == "ColdFilter":
+		eng, err = baselines.NewColdFilterDecayed(l1Cfg, skCfg, T, 0.002, lambda)
+	default:
+		t.Fatalf("unknown engine kind %q", kind)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
-// TestFusedPathMatchesPerCall streams identical seeded samples through a
-// fast-path estimator and a per-call (shimmed) twin for every engine and
-// both retrieval regimes (tracked candidates and exhaustive), requiring
-// identical Top/TopMagnitude rankings and estimates, bit for bit — and
-// bit-identical serialized engines where the engine serializes.
+// observePerPair is the reference ingest: the estimator's step and
+// tracker bookkeeping, with every pair of the sample offered to the
+// bare engine one OfferEstimate call at a time, in row-major order.
+func observePerPair(e *Estimator, s stream.Sample) {
+	e.t++
+	e.cfg.Engine.BeginStep(e.t)
+	if e.cfg.Decay != 0 && e.track != nil {
+		e.track.Decay(e.cfg.Decay)
+	}
+	for i := 0; i+1 < len(s.Idx); i++ {
+		for j := i + 1; j < len(s.Idx); j++ {
+			key := pairs.Key(s.Idx[i], s.Idx[j], e.cfg.Dim)
+			est, _ := e.cfg.Engine.OfferEstimate(key, s.Val[i]*s.Val[j])
+			if e.track != nil {
+				e.track.Offer(key, math.Abs(est))
+			}
+		}
+	}
+}
+
+// TestFusedPathMatchesPerCall streams identical seeded samples through
+// an estimator (row-aligned OfferPairs flushes) and through a reference
+// that offers every pair of the same kind of bare engine with
+// OfferEstimate, for every engine kind, fixed-horizon and decayed
+// (λ = 1 and λ < 1), tracked and exhaustive retrieval, and the default
+// and scalar wave groups. One sample is dense enough that the estimator
+// flushes in the middle of it. Serialized engines, tracked candidates,
+// Top and TopMagnitude must be bit-identical.
 func TestFusedPathMatchesPerCall(t *testing.T) {
-	const dim, T = 48, 240
+	const dim, T = 80, 160
 	rng := rand.New(rand.NewSource(123))
 	samples := make([]stream.Sample, T)
 	for i := range samples {
+		density := 0.3
+		if i == T/2 {
+			density = 1
+		}
 		row := make([]float64, dim)
 		for j := range row {
-			if rng.Float64() < 0.4 {
+			if rng.Float64() < density {
 				row[j] = rng.NormFloat64()
 			}
 		}
@@ -86,138 +103,94 @@ func TestFusedPathMatchesPerCall(t *testing.T) {
 		row[3] = row[5]*0.9 + 0.1*rng.NormFloat64()
 		samples[i] = stream.FromDense(row)
 	}
-	for _, track := range []int{0, 64} {
-		for name, pair := range fusedEngines(t, T) {
-			fast, err := New(Config{Dim: dim, T: T, Engine: pair[0], Mode: SecondMoment, TrackCandidates: track})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if track > 0 && fast.fast == nil {
-				t.Fatalf("%s: engine does not expose the fused fast path", name)
-			}
-			slow, err := New(Config{Dim: dim, T: T, Engine: slowShim{pair[1]}, Mode: SecondMoment, TrackCandidates: track})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slow.fast != nil {
-				t.Fatal("shim leaked the fast path; differential test is vacuous")
-			}
-			for _, s := range samples {
-				if err := fast.Observe(s); err != nil {
-					t.Fatal(err)
-				}
-				if err := slow.Observe(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, magnitude := range []bool{false, true} {
-				var ft, st []PairEstimate
-				var err error
-				if magnitude {
-					ft, err = fast.TopMagnitude(10)
-				} else {
-					ft, err = fast.Top(10)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if magnitude {
-					st, err = slow.TopMagnitude(10)
-				} else {
-					st, err = slow.Top(10)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ft) != len(st) {
-					t.Fatalf("%s track=%d: top lengths %d vs %d", name, track, len(ft), len(st))
-				}
-				for i := range ft {
-					if ft[i] != st[i] {
-						t.Fatalf("%s track=%d magnitude=%v rank %d: fused %+v, per-call %+v",
-							name, track, magnitude, i, ft[i], st[i])
+	if m := len(samples[T/2].Idx); m*(m-1)/2 <= pairBatch {
+		t.Fatalf("dense sample has only %d pairs; no flush lands mid-sample", m*(m-1)/2)
+	}
+	for _, kind := range engineKinds {
+		for _, lambda := range []float64{0, 1, 0.999} {
+			for _, track := range []int{0, 64} {
+				for _, g := range []int{0, 1} {
+					eng, ref := buildKind(t, kind, T, lambda), buildKind(t, kind, T, lambda)
+					if g == 1 {
+						eng.SetWaveGroup(1)
 					}
-				}
-			}
-			p := pairs.Count(dim)
-			for key := uint64(0); key < uint64(p); key += 37 {
-				ef := pair[0].Estimate(key)
-				es := pair[1].Estimate(key)
-				if math.Float64bits(ef) != math.Float64bits(es) {
-					t.Fatalf("%s track=%d key %d: fused est %v, per-call est %v", name, track, key, ef, es)
-				}
-			}
-			if fw, ok := pair[0].(sketchapi.Snapshotter); ok {
-				var fb, sb bytes.Buffer
-				if _, err := fw.WriteTo(&fb); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := pair[1].(sketchapi.Snapshotter).WriteTo(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fb.Bytes(), sb.Bytes()) {
-					t.Fatalf("%s track=%d: serialized engines diverged", name, track)
+					cfg := Config{Dim: dim, T: T, TrackCandidates: track, Decay: lambda}
+					cfg.Engine = eng
+					est, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Engine = ref
+					refEst, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range samples {
+						if err := est.Observe(s); err != nil {
+							t.Fatal(err)
+						}
+						observePerPair(refEst, s)
+					}
+					requireMatchesPerPair(t, fmt.Sprintf("%s λ=%v track=%d g=%d", kind, lambda, track, g), est, refEst)
 				}
 			}
 		}
 	}
 }
 
-// TestFusedCenteredMatchesPerCall covers the Centered mode pair loop
-// (row-base incremental keys, adjustment term) with the ASCS engine.
-func TestFusedCenteredMatchesPerCall(t *testing.T) {
-	const dim, T = 32, 160
-	rng := rand.New(rand.NewSource(321))
-	samples := make([]stream.Sample, T)
-	for i := range samples {
-		row := make([]float64, dim)
-		for j := range row {
-			if rng.Float64() < 0.5 {
-				row[j] = rng.NormFloat64() + 0.3
+// requireMatchesPerPair fails t unless est and its per-pair reference
+// refEst agree bit for bit: Top and TopMagnitude, the tracker's entries
+// when tracking, and the serialized engines.
+func requireMatchesPerPair(t *testing.T, label string, est, refEst *Estimator) {
+	t.Helper()
+	for _, magnitude := range []bool{false, true} {
+		top, rtop := est.Top, refEst.Top
+		if magnitude {
+			top, rtop = est.TopMagnitude, refEst.TopMagnitude
+		}
+		got, err := top(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rtop(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s magnitude=%v: top lengths %d vs %d", label, magnitude, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s magnitude=%v rank %d: estimator %+v, per-pair %+v",
+					label, magnitude, i, got[i], want[i])
 			}
 		}
-		samples[i] = stream.FromDense(row)
 	}
-	for _, adjust := range []bool{false, true} {
-		pairEng := fusedEngines(t, T)["ASCS"]
-		fast, err := New(Config{Dim: dim, T: T, Engine: pairEng[0], Mode: Centered, Adjustment: adjust, TrackCandidates: 32})
-		if err != nil {
-			t.Fatal(err)
+	if est.track != nil {
+		type entry struct {
+			key   uint64
+			score float64
 		}
-		slow, err := New(Config{Dim: dim, T: T, Engine: slowShim{pairEng[1]}, Mode: Centered, Adjustment: adjust, TrackCandidates: 32})
-		if err != nil {
-			t.Fatal(err)
+		var got, want []entry
+		est.track.Each(func(k uint64, v float64) { got = append(got, entry{k, v}) })
+		refEst.track.Each(func(k uint64, v float64) { want = append(want, entry{k, v}) })
+		if len(got) != len(want) {
+			t.Fatalf("%s: tracker holds %d candidates, reference %d", label, len(got), len(want))
 		}
-		for _, s := range samples {
-			if err := fast.Observe(s); err != nil {
-				t.Fatal(err)
-			}
-			if err := slow.Observe(s); err != nil {
-				t.Fatal(err)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: tracker entry %d is %+v, reference %+v", label, i, got[i], want[i])
 			}
 		}
-		ft, err := fast.TopMagnitude(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := slow.TopMagnitude(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ft {
-			if ft[i] != st[i] {
-				t.Fatalf("adjust=%v rank %d: fused %+v, per-call %+v", adjust, i, ft[i], st[i])
-			}
-		}
-		var fb, sb bytes.Buffer
-		if _, err := pairEng[0].(sketchapi.Snapshotter).WriteTo(&fb); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pairEng[1].(sketchapi.Snapshotter).WriteTo(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fb.Bytes(), sb.Bytes()) {
-			t.Fatalf("adjust=%v: serialized engines diverged", adjust)
-		}
+	}
+	var eb, rb bytes.Buffer
+	if _, err := est.cfg.Engine.WriteTo(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := refEst.cfg.Engine.WriteTo(&rb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(eb.Bytes(), rb.Bytes()) {
+		t.Fatalf("%s: serialized engines diverged", label)
 	}
 }

@@ -1,7 +1,7 @@
 package covstream
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,21 +9,16 @@ import (
 	"repro/internal/stream"
 )
 
-// pairOnlyShim embeds the OfferEstimator interface, so it exposes the
-// fused pair path but not OfferRow/OfferRows — the estimator must fall
-// back to the buffered pair loop.
-type pairOnlyShim struct{ sketchapi.OfferEstimator }
-
-// pairRecorder additionally records the length of every OfferPairs
-// flush, to pin flush boundaries against row boundaries.
+// pairRecorder records the length of every OfferPairs flush, to pin
+// flush boundaries against row boundaries.
 type pairRecorder struct {
-	sketchapi.OfferEstimator
+	sketchapi.Engine
 	calls []int
 }
 
 func (r *pairRecorder) OfferPairs(keys []uint64, xs, ests []float64) {
 	r.calls = append(r.calls, len(keys))
-	r.OfferEstimator.OfferPairs(keys, xs, ests)
+	r.Engine.OfferPairs(keys, xs, ests)
 }
 
 func denseSamples(seed int64, n, dim int, density float64) []stream.Sample {
@@ -41,90 +36,74 @@ func denseSamples(seed int64, n, dim int, density float64) []stream.Sample {
 	return out
 }
 
-// TestRowPathMatchesPairPath streams identical samples through a
-// row-path estimator and a twin whose engine is shimmed down to the
-// pair path, for every engine kind, both modes, tracked and exhaustive
-// retrieval — serialized engines and Top rankings must be bit-identical.
+// observeTwins builds an estimator over eng and a per-pair reference
+// over ref from the same config, streams samples through both (the
+// estimator row by row into row-aligned OfferPairs flushes, the
+// reference one OfferEstimate per pair) and requires them to match.
+func observeTwins(t *testing.T, label string, cfg Config, eng, ref sketchapi.Engine, samples []stream.Sample) {
+	t.Helper()
+	cfg.Engine = eng
+	est, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = ref
+	refEst, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
+		if err := est.Observe(s); err != nil {
+			t.Fatal(err)
+		}
+		observePerPair(refEst, s)
+	}
+	requireMatchesPerPair(t, label, est, refEst)
+}
+
+// TestRowPathMatchesPairPath streams identical samples through an
+// estimator, whose rows reach the engine as row-aligned OfferPairs
+// flushes, and through a bare engine of the same kind offered every
+// pair with OfferEstimate, for every engine kind, tracked and
+// exhaustive retrieval — serialized engines and Top rankings must be
+// bit-identical.
 func TestRowPathMatchesPairPath(t *testing.T) {
 	const dim, T = 40, 120
 	samples := denseSamples(99, T, dim, 0.5)
-	modes := []struct {
-		mode   Mode
-		adjust bool
-	}{{SecondMoment, false}, {Centered, false}, {Centered, true}}
-	for _, m := range modes {
-		for _, track := range []int{0, 64} {
-			for name, pair := range fusedEngines(t, T) {
-				row, err := New(Config{Dim: dim, T: T, Engine: pair[0], Mode: m.mode, Adjustment: m.adjust, TrackCandidates: track})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if row.row == nil {
-					t.Fatalf("%s: engine does not expose the row path", name)
-				}
-				fe, ok := pair[1].(sketchapi.OfferEstimator)
-				if !ok {
-					t.Fatalf("%s: engine lacks OfferEstimator", name)
-				}
-				pairEst, err := New(Config{Dim: dim, T: T, Engine: pairOnlyShim{fe}, Mode: m.mode, Adjustment: m.adjust, TrackCandidates: track})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pairEst.row != nil {
-					t.Fatal("shim leaked the row path; differential test is vacuous")
-				}
-				for _, s := range samples {
-					if err := row.Observe(s); err != nil {
-						t.Fatal(err)
-					}
-					if err := pairEst.Observe(s); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rt, err := row.TopMagnitude(10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pt, err := pairEst.TopMagnitude(10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rt) != len(pt) {
-					t.Fatalf("%s mode=%v track=%d: top lengths %d vs %d", name, m.mode, track, len(rt), len(pt))
-				}
-				for i := range rt {
-					if rt[i] != pt[i] {
-						t.Fatalf("%s mode=%v adjust=%v track=%d rank %d: row %+v, pair %+v",
-							name, m.mode, m.adjust, track, i, rt[i], pt[i])
-					}
-				}
-				var rb, pb bytes.Buffer
-				if _, err := pair[0].(sketchapi.Snapshotter).WriteTo(&rb); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := pair[1].(sketchapi.Snapshotter).WriteTo(&pb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(rb.Bytes(), pb.Bytes()) {
-					t.Fatalf("%s mode=%v adjust=%v track=%d: serialized engines diverged", name, m.mode, m.adjust, track)
-				}
-			}
+	for _, track := range []int{0, 64} {
+		for _, kind := range engineKinds {
+			observeTwins(t, fmt.Sprintf("%s track=%d", kind, track),
+				Config{Dim: dim, T: T, TrackCandidates: track},
+				buildKind(t, kind, T, 0), buildKind(t, kind, T, 0), samples)
 		}
 	}
 }
 
-// TestFlushPairsRowAligned pins the flush-boundary fix: the buffered
-// fallback must flush only at row boundaries, never mid-row. Samples
-// are dense enough that the pair buffer crosses pairBatch in the middle
-// of a row, so the pre-fix behavior (flush at exactly pairBatch) and
-// the fixed behavior (flush at the first row end at or past pairBatch)
-// produce different call sizes.
+// TestRowPathDenseFallback drives samples dense enough that each one
+// spans hundreds of row-aligned flushes, so the tracked estimate
+// scratch grows past pairBatch for batches that overshoot it, and
+// requires the estimator to still match the per-pair reference bit for
+// bit.
+func TestRowPathDenseFallback(t *testing.T) {
+	const dim, T = 1500, 2
+	if p := dim * (dim - 1) / 2; p <= 100*pairBatch {
+		t.Fatalf("dim %d gives only %d pairs; too few flushes per sample", dim, p)
+	}
+	samples := denseSamples(11, T, dim, 1)
+	observeTwins(t, "ASCS dense", Config{Dim: dim, T: T, TrackCandidates: 16},
+		buildKind(t, "ASCS", T, 0), buildKind(t, "ASCS", T, 0), samples)
+}
+
+// TestFlushPairsRowAligned pins the flush boundaries: the pair buffer
+// must flush only at row boundaries, never mid-row. Samples are dense
+// enough that the buffer crosses pairBatch in the middle of a row, so
+// flushing at exactly pairBatch and flushing at the first row end at or
+// past pairBatch produce different call sizes.
 func TestFlushPairsRowAligned(t *testing.T) {
 	const dim, T = 200, 3
 	samples := denseSamples(7, T, dim, 1)
-	pair := fusedEngines(t, T)["CS"]
-	rec := &pairRecorder{OfferEstimator: pair[0].(sketchapi.OfferEstimator)}
-	est, err := New(Config{Dim: dim, T: T, Engine: rec, Mode: SecondMoment})
+	rec := &pairRecorder{Engine: buildKind(t, "CS", T, 0)}
+	est, err := New(Config{Dim: dim, T: T, Engine: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,46 +139,5 @@ func TestFlushPairsRowAligned(t *testing.T) {
 		if rec.calls[i] != want[i] {
 			t.Fatalf("flush %d has %d pairs, want row-aligned %d", i, rec.calls[i], want[i])
 		}
-	}
-}
-
-// TestRowPathDenseFallback drives a sample dense enough that the
-// tracked row path would need more than maxRowEsts estimate slots, so
-// the estimator must take the buffered fallback — and still match a
-// pair-shimmed twin bit for bit (including the estimate scratch growing
-// past pairBatch for row-aligned batches).
-func TestRowPathDenseFallback(t *testing.T) {
-	const dim, T = 1500, 2
-	if p := dim * (dim - 1) / 2; p <= maxRowEsts {
-		t.Fatalf("dim %d gives only %d pairs; fallback not exercised", dim, p)
-	}
-	samples := denseSamples(11, T, dim, 1)
-	pair := fusedEngines(t, T)["ASCS"]
-	row, err := New(Config{Dim: dim, T: T, Engine: pair[0], Mode: SecondMoment, TrackCandidates: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe := pair[1].(sketchapi.OfferEstimator)
-	pairEst, err := New(Config{Dim: dim, T: T, Engine: pairOnlyShim{fe}, Mode: SecondMoment, TrackCandidates: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		if err := row.Observe(s); err != nil {
-			t.Fatal(err)
-		}
-		if err := pairEst.Observe(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var rb, pb bytes.Buffer
-	if _, err := pair[0].(sketchapi.Snapshotter).WriteTo(&rb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pair[1].(sketchapi.Snapshotter).WriteTo(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rb.Bytes(), pb.Bytes()) {
-		t.Fatal("dense fallback diverged from pair path")
 	}
 }

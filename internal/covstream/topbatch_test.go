@@ -56,13 +56,13 @@ func TestTopBatchMatchesScalar(t *testing.T) {
 		rows[i][3], rows[i][7], rows[i][11] = z, 0.8*z, -z
 	}
 	sk := countsketch.Config{Tables: 5, Range: 96, Seed: 9}
-	engines := map[string]func() (sketchapi.Ingestor, error){
-		"cs": func() (sketchapi.Ingestor, error) { return countsketch.NewMeanSketch(sk, n) },
-		"ascs": func() (sketchapi.Ingestor, error) {
+	engines := map[string]func() (sketchapi.Engine, error){
+		"cs": func() (sketchapi.Engine, error) { return countsketch.NewMeanSketch(sk, n) },
+		"ascs": func() (sketchapi.Engine, error) {
 			return core.NewEngine(sk, core.Hyperparams{T0: 60, Theta: 1e-4, Tau0: 1e-3, T: n}, true)
 		},
-		"asketch": func() (sketchapi.Ingestor, error) { return baselines.NewASketch(sk, n, 16) },
-		"coldfilter": func() (sketchapi.Ingestor, error) {
+		"asketch": func() (sketchapi.Engine, error) { return baselines.NewASketch(sk, n, 16) },
+		"coldfilter": func() (sketchapi.Engine, error) {
 			return baselines.NewColdFilter(countsketch.Config{Tables: 3, Range: 64, Seed: 4}, sk, n, 0.01)
 		},
 	}
@@ -72,10 +72,7 @@ func TestTopBatchMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := eng.(sketchapi.OfferEstimator); !ok {
-				t.Fatalf("%s: engine has no batch read; the test would compare the scalar path with itself", name)
-			}
-			e, err := New(Config{Dim: d, T: n, Engine: eng, Mode: SecondMoment, TrackCandidates: track})
+			e, err := New(Config{Dim: d, T: n, Engine: eng, TrackCandidates: track})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/pairs"
-	"repro/internal/sketchapi"
 	"repro/internal/stream"
 	"repro/internal/topk"
 )
@@ -135,31 +134,11 @@ func (w WarmupResult) ASCSParams(alpha float64, T, K, R int) core.Params {
 	}.WithSuggestedDeltas()
 }
 
-// warmupProbe accumulates Σx² (for σ) and a distinct-key census (for the
-// percentiles) while delegating to the warm-up sketch.
-type warmupProbe struct {
-	inner   sketchapi.Ingestor
-	sumX2   float64
-	n       int64
-	sampler *topk.BottomK
-}
-
-func (s *warmupProbe) BeginStep(t int)             { s.inner.BeginStep(t) }
-func (s *warmupProbe) Estimate(key uint64) float64 { return s.inner.Estimate(key) }
-func (s *warmupProbe) Bytes() int                  { return s.inner.Bytes() }
-func (s *warmupProbe) Name() string                { return s.inner.Name() }
-func (s *warmupProbe) Offer(key uint64, x float64) {
-	s.sumX2 += x * x
-	s.n++
-	s.sampler.Offer(key)
-	s.inner.Offer(key, x)
-}
-
 // Warmup runs a vanilla CS over the first warmupN samples of src (§8.1:
 // "we can spend some samples to explore the distribution of μ").
 // maxSeen bounds the census (default 5M keys) but is not allocated up
 // front; beyond it the census degrades gracefully to a uniform subsample.
-func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, mode Mode, maxSeen int, seed int64) (WarmupResult, error) {
+func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, maxSeen int, seed int64) (WarmupResult, error) {
 	if warmupN < 1 {
 		return WarmupResult{}, fmt.Errorf("covstream: warmupN must be ≥ 1")
 	}
@@ -171,10 +150,19 @@ func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, mode Mode, m
 	if err != nil {
 		return WarmupResult{}, err
 	}
-	probe := &warmupProbe{inner: ms, sampler: topk.NewBottomK(maxSeen, uint64(seed)^0xB077)}
-	est, err := New(Config{Dim: dim, T: warmupN, Engine: probe, Mode: mode})
+	est, err := New(Config{Dim: dim, T: warmupN, Engine: ms})
 	if err != nil {
 		return WarmupResult{}, err
+	}
+	// Σx² (for σ) and the distinct-key census (for the percentiles)
+	// accumulate over the very pairs each flush hands to OfferPairs.
+	sampler := topk.NewBottomK(maxSeen, uint64(seed)^0xB077)
+	var sumX2 float64
+	est.tap = func(keys []uint64, xs []float64) {
+		for i, key := range keys {
+			sumX2 += xs[i] * xs[i]
+			sampler.Offer(key)
+		}
 	}
 	n, err := est.Run(stream.NewLimit(src, warmupN))
 	if err != nil {
@@ -184,24 +172,19 @@ func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, mode Mode, m
 		return WarmupResult{}, fmt.Errorf("covstream: warm-up stream was empty")
 	}
 
-	keys := probe.sampler.Keys()
-	seen := make([]float64, 0, len(keys))
-	for _, key := range keys {
-		seen = append(seen, ms.Estimate(key))
-	}
+	keys := sampler.Keys()
+	seen := make([]float64, len(keys))
+	ms.EstimateKeys(keys, seen)
 	sort.Sort(sort.Reverse(sort.Float64Slice(seen)))
 
 	p := pairs.Count(dim)
-	distinct := probe.sampler.DistinctEstimate()
+	distinct := sampler.DistinctEstimate()
 	if distinct > float64(p) {
 		distinct = float64(p)
 	}
 	// σ² ≈ mean of X² over all p·n pair-observations; offers cover only
 	// the non-zero increments, the remainder contribute zeros.
-	sigma := 0.0
-	if probe.n > 0 {
-		sigma = math.Sqrt(probe.sumX2 / (float64(p) * float64(n)))
-	}
+	sigma := math.Sqrt(sumX2 / (float64(p) * float64(n)))
 	if sigma == 0 {
 		sigma = 1e-12 // degenerate all-zero prefix; keep downstream finite
 	}

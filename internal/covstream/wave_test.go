@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/countsketch"
-	"repro/internal/sketchapi"
 	"repro/internal/stream"
 )
 
@@ -52,7 +51,7 @@ func TestWaveMatchesScalarThroughEstimator(t *testing.T) {
 		scalarEng, waveEng := build(), build()
 		scalarEng.SetWaveGroup(1)
 		// Default wave group: exactly what production estimators run.
-		cfg := Config{Dim: dim, T: T, Mode: SecondMoment, TrackCandidates: 64}
+		cfg := Config{Dim: dim, T: T, TrackCandidates: 64}
 		if lambda != 0 {
 			cfg.Decay = lambda
 		}
@@ -91,10 +90,10 @@ func TestWaveMatchesScalarThroughEstimator(t *testing.T) {
 			}
 		}
 		var bs, bw bytes.Buffer
-		if _, err := sketchapi.Snapshotter(scalarEng).WriteTo(&bs); err != nil {
+		if _, err := scalarEng.WriteTo(&bs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sketchapi.Snapshotter(waveEng).WriteTo(&bw); err != nil {
+		if _, err := waveEng.WriteTo(&bw); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bs.Bytes(), bw.Bytes()) {

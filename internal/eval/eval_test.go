@@ -127,12 +127,6 @@ func TestSNRProbeMeasuresPlainCS(t *testing.T) {
 	if pts[0].T != 5 || pts[1].T != 10 {
 		t.Errorf("window ends = %d,%d", pts[0].T, pts[1].T)
 	}
-	if probe.Name() != "CS" || probe.Bytes() != ms.Bytes() {
-		t.Error("probe should forward Name/Bytes")
-	}
-	if probe.Estimate(0) != ms.Estimate(0) {
-		t.Error("probe should forward Estimate")
-	}
 }
 
 type gateEngine struct {

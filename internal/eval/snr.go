@@ -24,7 +24,7 @@ type admitter interface {
 // For gating engines only admitted offers count (X_S^(t), X_N^(t) of
 // §7.1); for vanilla CS every offer counts, reproducing SNR_CS.
 type SNRProbe struct {
-	inner    sketchapi.Ingestor
+	inner    sketchapi.Engine
 	isSignal func(key uint64) bool
 	every    int
 
@@ -35,10 +35,8 @@ type SNRProbe struct {
 	points   []SNRPoint
 }
 
-var _ sketchapi.Ingestor = (*SNRProbe)(nil)
-
 // NewSNRProbe wraps inner, emitting one SNR point per `every` samples.
-func NewSNRProbe(inner sketchapi.Ingestor, isSignal func(uint64) bool, every int) *SNRProbe {
+func NewSNRProbe(inner sketchapi.Engine, isSignal func(uint64) bool, every int) *SNRProbe {
 	if every < 1 {
 		every = 1
 	}
@@ -79,15 +77,6 @@ func (p *SNRProbe) Offer(key uint64, x float64) {
 	}
 	p.inner.Offer(key, x)
 }
-
-// Estimate forwards to the engine.
-func (p *SNRProbe) Estimate(key uint64) float64 { return p.inner.Estimate(key) }
-
-// Bytes forwards to the engine.
-func (p *SNRProbe) Bytes() int { return p.inner.Bytes() }
-
-// Name forwards to the engine.
-func (p *SNRProbe) Name() string { return p.inner.Name() }
 
 // Points returns the completed windows, closing the current window if it
 // has any mass.

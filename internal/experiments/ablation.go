@@ -94,21 +94,21 @@ func AblationSchedule(opt Options, w io.Writer) (AblationResult, error) {
 	}
 	variants := []struct {
 		name  string
-		build func() (sketchapi.Ingestor, error)
+		build func() (sketchapi.Engine, error)
 		note  string
 	}{
-		{"CS", func() (sketchapi.Ingestor, error) {
+		{"CS", func() (sketchapi.Engine, error) {
 			return newCS(len(samples), prm.K, prm.R, uint64(opt.Seed))
 		}, "no gate"},
-		{"ASCS-flat", func() (sketchapi.Ingestor, error) {
+		{"ASCS-flat", func() (sketchapi.Engine, error) {
 			flat := hp
 			flat.Theta = 0
 			return core.NewEngine(countsketch.Config{Tables: prm.K, Range: prm.R, Seed: uint64(opt.Seed)}, flat, true)
 		}, "gate frozen at tau0"},
-		{"ASCS-linear", func() (sketchapi.Ingestor, error) {
+		{"ASCS-linear", func() (sketchapi.Engine, error) {
 			return core.NewEngine(countsketch.Config{Tables: prm.K, Range: prm.R, Seed: uint64(opt.Seed)}, hp, true)
 		}, fmt.Sprintf("solved theta=%.3f", hp.Theta)},
-		{"ASCS-steep", func() (sketchapi.Ingestor, error) {
+		{"ASCS-steep", func() (sketchapi.Engine, error) {
 			steep := hp
 			steep.Theta = 2 * hp.Theta
 			return core.NewEngine(countsketch.Config{Tables: prm.K, Range: prm.R, Seed: uint64(opt.Seed)}, steep, true)

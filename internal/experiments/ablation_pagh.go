@@ -9,6 +9,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/outersketch"
 	"repro/internal/pairs"
+	"repro/internal/sketchapi"
 	"repro/internal/topk"
 )
 
@@ -51,25 +52,18 @@ func AblationPagh(opt Options, w io.Writer) (AblationResult, error) {
 	// Pair-enumeration engines: CS and ASCS.
 	for _, build := range []struct {
 		name string
-		mk   func() (interface{}, error)
+		mk   func() (sketchapi.Engine, error)
 	}{
-		{"CS-pairs", func() (interface{}, error) { return newCS(len(samples), opt.K, r, uint64(opt.Seed)) }},
-		{"ASCS-pairs", func() (interface{}, error) {
+		{"CS-pairs", func() (sketchapi.Engine, error) { return newCS(len(samples), opt.K, r, uint64(opt.Seed)) }},
+		{"ASCS-pairs", func() (sketchapi.Engine, error) {
 			eng, _, err := engineSetup(samples, d, ds.Alpha, opt.K, r, uint64(opt.Seed))
 			return eng, err
 		}},
 	} {
-		engAny, err := build.mk()
+		eng, err := build.mk()
 		if err != nil {
 			return res, err
 		}
-		eng := engAny.(interface {
-			BeginStep(int)
-			Offer(uint64, float64)
-			Estimate(uint64) float64
-			Bytes() int
-			Name() string
-		})
 		est, dur, err := runEngine(samples, d, eng, 0)
 		if err != nil {
 			return res, err

@@ -138,7 +138,7 @@ func engineSetup(samples []stream.Sample, d int, alpha float64, K, R int, seed u
 		rWarm = 1 << 16
 	}
 	w, err := covstream.Warmup(stream.NewSliceSource(samples, d), warmN,
-		countsketch.Config{Tables: K, Range: rWarm, Seed: seed ^ 0x77}, covstream.SecondMoment, 2_000_000, int64(seed))
+		countsketch.Config{Tables: K, Range: rWarm, Seed: seed ^ 0x77}, 2_000_000, int64(seed))
 	if err != nil {
 		return nil, core.Params{}, err
 	}
@@ -167,10 +167,9 @@ func engineSetup(samples []stream.Sample, d int, alpha float64, K, R int, seed u
 
 // runEngine replays samples through an engine via the covariance
 // streamer and returns the wall-clock sketching time.
-func runEngine(samples []stream.Sample, d int, eng sketchapi.Ingestor, track int) (*covstream.Estimator, time.Duration, error) {
+func runEngine(samples []stream.Sample, d int, eng sketchapi.Engine, track int) (*covstream.Estimator, time.Duration, error) {
 	est, err := covstream.New(covstream.Config{
-		Dim: d, T: len(samples), Engine: eng,
-		Mode: covstream.SecondMoment, TrackCandidates: track,
+		Dim: d, T: len(samples), Engine: eng, TrackCandidates: track,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -183,13 +182,13 @@ func runEngine(samples []stream.Sample, d int, eng sketchapi.Ingestor, track int
 }
 
 // newCS builds the vanilla-CS engine.
-func newCS(T, K, R int, seed uint64) (sketchapi.Ingestor, error) {
+func newCS(T, K, R int, seed uint64) (sketchapi.Engine, error) {
 	return countsketch.NewMeanSketch(countsketch.Config{Tables: K, Range: R, Seed: seed}, T)
 }
 
 // newASketch builds the Augmented Sketch baseline with a filter sized at
 // 1% of the sketch cells (memory parity is achieved by shrinking R).
-func newASketch(T, K, R int, seed uint64) (sketchapi.Ingestor, error) {
+func newASketch(T, K, R int, seed uint64) (sketchapi.Engine, error) {
 	filterCap := K * R / 100
 	if filterCap < 8 {
 		filterCap = 8

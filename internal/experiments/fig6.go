@@ -126,7 +126,7 @@ func fig6Dataset(ds *dataset.Dataset, opt Options, alphas []float64) ([]int, []F
 	}
 	warm, err := covstream.Warmup(stream.NewSliceSource(samples, d), warmN,
 		countsketch.Config{Tables: opt.K, Range: r, Seed: uint64(opt.Seed) ^ 0x77},
-		covstream.SecondMoment, 200_000, opt.Seed)
+		200_000, opt.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

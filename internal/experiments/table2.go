@@ -101,9 +101,9 @@ func Table2(opt Options, w io.Writer) (Table2Result, error) {
 				MeanTopCorr: map[string]float64{},
 				TopK:        topK,
 			}
-			for _, build := range []func() (sketchapi.Ingestor, error){
-				func() (sketchapi.Ingestor, error) { return newCS(len(samples), opt.K, r, uint64(opt.Seed)) },
-				func() (sketchapi.Ingestor, error) {
+			for _, build := range []func() (sketchapi.Engine, error){
+				func() (sketchapi.Engine, error) { return newCS(len(samples), opt.K, r, uint64(opt.Seed)) },
+				func() (sketchapi.Engine, error) {
 					eng, _, err := engineSetup(samples, spec.dim, spec.alpha, opt.K, r, uint64(opt.Seed))
 					return eng, err
 				},

@@ -40,7 +40,7 @@ func (r Table4Result) Cell(ds, engine string) (Table4Cell, bool) {
 }
 
 // table4Engines builds the three §8.3 contenders for a dataset stream.
-func table4Engines(samples []stream.Sample, d int, alpha float64, K, R int, seed uint64) ([]sketchapi.Ingestor, error) {
+func table4Engines(samples []stream.Sample, d int, alpha float64, K, R int, seed uint64) ([]sketchapi.Engine, error) {
 	cs, err := newCS(len(samples), K, R, seed)
 	if err != nil {
 		return nil, err
@@ -53,7 +53,7 @@ func table4Engines(samples []stream.Sample, d int, alpha float64, K, R int, seed
 	if err != nil {
 		return nil, err
 	}
-	return []sketchapi.Ingestor{cs, ask, ascs}, nil
+	return []sketchapi.Engine{cs, ask, ascs}, nil
 }
 
 // Table4 reproduces Table 4 (and collects the Table 6 timings): for the
@@ -279,7 +279,7 @@ func Table6(opt Options, w io.Writer) (Table6Result, error) {
 		if err != nil {
 			return res, err
 		}
-		for _, eng := range []sketchapi.Ingestor{cs, ascs} {
+		for _, eng := range []sketchapi.Engine{cs, ascs} {
 			var total time.Duration
 			_, dur, err := runEngine(samples, d, eng, 0)
 			if err != nil {

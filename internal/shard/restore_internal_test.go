@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/countsketch"
-	"repro/internal/sketchapi"
 	"repro/internal/stream"
 	"repro/internal/topk"
 )
 
-// TestRestoreKeepsFusedPath pins that Restore wires the row ingest path
-// (worker.row) exactly as Manager.start does: the worker has no other
-// way to apply a batch.
+// TestRestoreKeepsFusedPath pins that Restore wires the engine
+// (worker.eng, which carries the OfferPairs ingest path) exactly as
+// Manager.start does: the worker has no other way to apply a batch.
 func TestRestoreKeepsFusedPath(t *testing.T) {
 	m, err := New(Config{
 		Dim: 10,
@@ -27,7 +26,7 @@ func TestRestoreKeepsFusedPath(t *testing.T) {
 	}
 	defer m.Close()
 	for _, w := range m.workers {
-		if w.row == nil {
+		if w.eng == nil {
 			t.Fatal("fresh manager worker lacks the fused path (test setup broken)")
 		}
 	}
@@ -44,17 +43,9 @@ func TestRestoreKeepsFusedPath(t *testing.T) {
 	}
 	defer r.Close()
 	for i, w := range r.workers {
-		if w.row == nil {
+		if w.eng == nil {
 			t.Fatalf("restored worker %d lost the fused OfferPairs path", i)
 		}
-	}
-}
-
-// TestRowEngineRequired pins that worker construction refuses an engine
-// without the row path instead of running without one.
-func TestRowEngineRequired(t *testing.T) {
-	if _, err := rowEngine(struct{ sketchapi.Snapshotter }{}); err == nil {
-		t.Fatal("rowEngine accepted an engine without OfferRow")
 	}
 }
 

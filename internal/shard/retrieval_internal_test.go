@@ -81,7 +81,7 @@ func TestServedTopKMatchesExhaustive(t *testing.T) {
 	err = m.execAll(context.Background(), ConsistencyFresh, nil, func(w *worker) {
 		keys := byShard[w.id]
 		ests := make([]float64, len(keys))
-		w.row.EstimateKeys(keys, ests)
+		w.eng.EstimateKeys(keys, ests)
 		mu.Lock()
 		defer mu.Unlock()
 		for i, key := range keys {

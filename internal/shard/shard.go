@@ -7,21 +7,21 @@
 //
 // # Architecture
 //
-// Each worker owns one sketching engine (a sketchapi.Snapshotter: the
-// vanilla CS MeanSketch or the ASCS core.Engine) plus a bounded
-// candidate tracker, and runs a single goroutine draining one FIFO
-// channel of messages. Ingest enumerates the feature pairs of each
-// sample, routes every (key, increment) to the shard owning that key
-// (a mixed hash of the pair key modulo N), and sends batched ops down
-// the owning worker's channel. Because a key's entire history lands on
-// exactly one worker, applied in arrival order by one goroutine, the
-// hot path needs no locks at all — no sync.RWMutex around the sketch —
-// and the ASCS admission gate remains a *sequential* per-key decision,
-// which is exactly the paper's §5 constraint (the gate at step t reads
-// the estimate produced by steps 1..t−1; it cannot be replayed out of
-// order). Sharding by key is what makes ASCS parallelizable at all:
-// sample-level parallelism (covstream.ParallelSecondMoment) works only
-// for the linear CS engine.
+// Each worker owns one sketching engine (a sketchapi.Engine: the vanilla
+// CS MeanSketch, the ASCS core.Engine, or an ASketch or Cold Filter
+// baseline) plus a bounded candidate tracker, and runs a single
+// goroutine draining one FIFO channel of messages. Ingest enumerates the
+// feature pairs of each sample, routes every (key, increment) to the
+// shard owning that key (a mixed hash of the pair key modulo N), and
+// sends batched ops down the owning worker's channel. Because a key's
+// entire history lands on exactly one worker, applied in arrival order
+// by one goroutine, the hot path needs no locks at all — no sync.RWMutex
+// around the sketch — and the ASCS admission gate remains a *sequential*
+// per-key decision, which is exactly the paper's §5 constraint (the gate
+// at step t reads the estimate produced by steps 1..t−1; it cannot be
+// replayed out of order). Sharding by key is what makes ASCS
+// parallelizable at all: sample-level parallelism (clones merged by
+// Sketch.Split/Merge) works only for the linear CS engine.
 //
 // Queries (point estimate, top-k, stats, snapshot) are closures
 // executed on the owning worker's goroutine, so they observe a
@@ -61,7 +61,7 @@
 // and engines scale inserts by 1/T exactly as in the batch pipeline.
 // Concurrent Ingest calls are applied in an arbitrary interleaving;
 // workers monotonize the step sequence they announce to their engine
-// so the Ingestor contract (non-decreasing steps) holds under any
+// so the Engine contract (non-decreasing steps) holds under any
 // interleaving.
 //
 // In the classic fixed-horizon deployment the stream horizon T is
@@ -212,8 +212,7 @@ type Config struct {
 	// the shard is cold; the first ingest batch to arrive unfolds it
 	// back to full resolution before any increment lands. The check is
 	// tick-driven on the worker goroutine — the ingest hot path pays one
-	// branch per batch, nothing per pair. Requires an engine that
-	// implements sketchapi.Folder (all four kinds do). Zero disables.
+	// branch per batch, nothing per pair. Zero disables.
 	FoldIdle time.Duration
 	// FoldIdleTicks is how many consecutive quiet FoldIdle intervals
 	// precede a fold (default 2: one full interval of observed silence,
@@ -412,8 +411,7 @@ type worker struct {
 	// drains ahead of queued ingest batches, so a fast-lane query's
 	// wait is the message in flight, not the queue depth.
 	qch   chan msg
-	eng   sketchapi.Snapshotter
-	row   sketchapi.RowOfferer // eng's ingest and batch-read path (required, see rowEngine)
+	eng   sketchapi.Engine
 	track *topk.Tracker
 	lastT int
 	// ops counts every routed pair increment; zeros counts the ones
@@ -422,14 +420,11 @@ type worker struct {
 	zeros uint64
 
 	// Telemetry. tel is the shard's published counter block (may be nil
-	// in unit tests that build workers by hand); health and decayer cache
-	// the engine's optional interfaces so publish does not re-assert per
-	// batch. batches and laneJumps are plain single-writer counters — the
-	// worker goroutine owns them and copies them into tel.Snap with
-	// atomic stores at message boundaries (see publish).
+	// in unit tests that build workers by hand). batches and laneJumps
+	// are plain single-writer counters — the worker goroutine owns them
+	// and copies them into tel.Snap with atomic stores at message
+	// boundaries (see publish).
 	tel       *obs.ShardTel
-	health    sketchapi.HealthReporter
-	decayer   sketchapi.Decayer
 	batches   uint64
 	laneJumps uint64
 	// prunedBase/refusedBase are the tracker counters a restored worker
@@ -459,16 +454,14 @@ type worker struct {
 	// hook is nil-safe, so the hot path pays one branch per batch).
 	faults *faults.Injector
 
-	// Fold policy (idle-shard memory elasticity). folder caches the
-	// engine's sketchapi.Folder facet (nil when unsupported); foldTick
-	// delivers the idle checks (nil when the policy is off, so its
-	// select case never fires); foldLevels/foldTicks are the resolved
-	// policy knobs. folded marks an engine currently serving at reduced
-	// resolution — set by an idle fold or by restoring a pre-folded
-	// snapshot, cleared by the unconditional unfold at the top of apply.
-	// quiet counts consecutive idle ticks, tickOps the op count at the
-	// previous tick. folds/unfolds are published counters.
-	folder     sketchapi.Folder
+	// Fold policy (idle-shard memory elasticity). foldTick delivers the idle
+	// checks (nil when the policy is off, so its select case never fires);
+	// foldLevels/foldTicks are the resolved policy knobs. folded marks an
+	// engine currently serving at reduced resolution — set by an idle fold
+	// or by restoring a pre-folded snapshot, cleared by the unconditional
+	// unfold at the top of apply. quiet counts consecutive idle ticks,
+	// tickOps the op count at the previous tick. folds/unfolds are published
+	// counters.
 	foldTicker *time.Ticker
 	foldTick   <-chan time.Time
 	foldLevels int
@@ -501,18 +494,12 @@ func (w *worker) trackerCounts() (pruned, refused uint64) {
 	return w.prunedBase + w.track.Pruned(), w.refusedBase + w.track.Refused()
 }
 
-// wire attaches the telemetry block and caches the engine's optional
-// telemetry interfaces. Called before the worker goroutine starts (or
-// with the worker quiescent), then publishes once so restored state
-// (ops, step) is visible to scrapes before the first batch lands.
+// wire attaches the telemetry block. Called before the worker
+// goroutine starts (or with the worker quiescent), then publishes once
+// so restored state (ops, step) is visible to scrapes before the first
+// batch lands.
 func (w *worker) wire(tel *obs.ShardTel) {
 	w.tel = tel
-	if h, ok := w.eng.(sketchapi.HealthReporter); ok {
-		w.health = h
-	}
-	if d, ok := w.eng.(sketchapi.Decayer); ok && d.Decaying() {
-		w.decayer = d
-	}
 	w.publish()
 }
 
@@ -538,49 +525,40 @@ func (w *worker) publish() {
 	s.Store(obs.ShardTrackerPruned, pruned)
 	s.Store(obs.ShardTrackerRefused, refused)
 	s.Store(obs.ShardEngineBytes, uint64(w.eng.Bytes()))
-	if w.health != nil {
-		h := w.health.Health()
-		s.Store(obs.ShardGateOffered, h.GateOffered)
-		s.Store(obs.ShardGateAdmitted, h.GateAdmitted)
-		s.Store(obs.ShardExplorationInserts, h.ExplorationInserts)
-		s.StoreFloat(obs.ShardAdmittedMass, h.AdmittedMass)
-		s.StoreFloat(obs.ShardRejectedMass, h.RejectedMass)
-		s.StoreFloat(obs.ShardGateTau, h.Tau)
-		s.Store(obs.ShardDecayRenorms, h.DecayRenorms)
-		s.Store(obs.ShardWaveGroups, h.WaveGroups)
-		s.Store(obs.ShardWaveFallbackConflict, h.WaveFallbackConflict)
-		s.Store(obs.ShardWaveFallbackExploration, h.WaveFallbackExploration)
-		s.Store(obs.ShardWaveFallbackShape, h.WaveFallbackShape)
+	h := w.eng.Health()
+	s.Store(obs.ShardGateOffered, h.GateOffered)
+	s.Store(obs.ShardGateAdmitted, h.GateAdmitted)
+	s.Store(obs.ShardExplorationInserts, h.ExplorationInserts)
+	s.StoreFloat(obs.ShardAdmittedMass, h.AdmittedMass)
+	s.StoreFloat(obs.ShardRejectedMass, h.RejectedMass)
+	s.StoreFloat(obs.ShardGateTau, h.Tau)
+	s.Store(obs.ShardDecayRenorms, h.DecayRenorms)
+	s.Store(obs.ShardWaveGroups, h.WaveGroups)
+	s.Store(obs.ShardWaveFallbackConflict, h.WaveFallbackConflict)
+	s.Store(obs.ShardWaveFallbackExploration, h.WaveFallbackExploration)
+	s.Store(obs.ShardWaveFallbackShape, h.WaveFallbackShape)
+	if w.eng.Decaying() {
+		s.StoreFloat(obs.ShardNEff, w.eng.EffectiveSamples())
 	}
-	if w.decayer != nil {
-		s.StoreFloat(obs.ShardNEff, w.decayer.EffectiveSamples())
-	}
-	if w.folder != nil {
-		s.Store(obs.ShardFoldLevel, uint64(w.folder.FoldLevel()))
-		s.Store(obs.ShardFolds, w.folds)
-		s.Store(obs.ShardUnfolds, w.unfolds)
-	}
+	s.Store(obs.ShardFoldLevel, uint64(w.eng.FoldLevel()))
+	s.Store(obs.ShardFolds, w.folds)
+	s.Store(obs.ShardUnfolds, w.unfolds)
 	if w.wal != nil {
 		s.Store(obs.ShardWALLastSeq, w.walLast)
 	}
 }
 
-// foldSetup caches the engine's fold capability and arms the idle
-// ticker when the policy is enabled. Called before the worker
-// goroutine starts (construction and restore), like wire.
+// foldSetup arms the idle ticker when the policy is enabled. Called
+// before the worker goroutine starts (construction and restore), like
+// wire.
 func (w *worker) foldSetup(idle time.Duration, ticks, levels int) {
-	f, ok := w.eng.(sketchapi.Folder)
-	if !ok {
-		return
-	}
-	w.folder = f
 	// A restored pre-folded snapshot starts life folded: the first
 	// ingest batch unfolds it exactly like a policy fold.
-	w.folded = f.FoldLevel() > 0
+	w.folded = w.eng.FoldLevel() > 0
 	if idle <= 0 {
 		return
 	}
-	if max := f.MaxFoldLevels(); levels > max {
+	if max := w.eng.MaxFoldLevels(); levels > max {
 		levels = max
 	}
 	if levels <= 0 {
@@ -614,7 +592,7 @@ func (w *worker) foldIdleCheck() {
 	// The only fold error is a target past MaxFoldLevels, which
 	// foldSetup's clamp rules out; guard anyway so a future engine
 	// cannot wedge the worker.
-	if err := w.folder.Fold(w.foldLevels); err == nil {
+	if err := w.eng.Fold(w.foldLevels); err == nil {
 		w.folded = true
 		w.folds++
 	}
@@ -741,7 +719,7 @@ func (w *worker) apply(b *rowBatch) {
 		// unconditional on the policy so restored pre-folded snapshots
 		// heal themselves; the steady-state hot path pays this one branch
 		// per batch and nothing per pair.
-		w.folder.Unfold()
+		w.eng.Unfold()
 		w.folded = false
 		w.unfolds++
 	}
@@ -790,7 +768,7 @@ func (w *worker) apply(b *rowBatch) {
 		// gate, insert, and score). Candidates are scored by the current
 		// |estimate| and rescored at query time, so keys the gate keeps
 		// admitting stay hot.
-		w.row.OfferPairs(keys[lo:c], xs[lo:c], ests[lo:c])
+		w.eng.OfferPairs(keys[lo:c], xs[lo:c], ests[lo:c])
 		for j, key := range keys[lo:c] {
 			w.track.Offer(key, math.Abs(ests[lo+j]))
 		}
@@ -811,7 +789,7 @@ type kv struct {
 // the k winners supplies their signed estimates.
 func (w *worker) localTop(k int, rank func(float64) float64) []kv {
 	items := w.track.TopBatch(k, func(keys []uint64, scores []float64) {
-		w.row.EstimateKeys(keys, scores)
+		w.eng.EstimateKeys(keys, scores)
 		for i, v := range scores {
 			scores[i] = rank(v)
 		}
@@ -821,7 +799,7 @@ func (w *worker) localTop(k int, rank func(float64) float64) []kv {
 		keys[i] = it.Key
 	}
 	ests := make([]float64, len(items))
-	w.row.EstimateKeys(keys, ests)
+	w.eng.EstimateKeys(keys, ests)
 	out := make([]kv, len(items))
 	for i, key := range keys {
 		out[i] = kv{key: key, est: ests[i]}
@@ -998,16 +976,11 @@ func (m *Manager) start(spec EngineSpec) error {
 		if err != nil {
 			return err
 		}
-		row, err := rowEngine(eng)
-		if err != nil {
-			return err
-		}
 		w := &worker{
 			id:     i,
 			ch:     make(chan msg, m.cfg.QueueLen),
 			qch:    make(chan msg, m.cfg.QueueLen),
 			eng:    eng,
-			row:    row,
 			track:  topk.NewTracker(m.cfg.TrackCandidates),
 			lambda: spec.Lambda,
 			free:   m.opFree,
@@ -2012,28 +1985,24 @@ func (m *Manager) StatsT(ctx context.Context, c Consistency, tr *QueryTrace) (St
 			s.Health.QueueHighWater = w.tel.Snap.Load(obs.ShardQueueHighWater)
 			s.Health.FastQueueHighWater = w.tel.Snap.Load(obs.ShardFastQueueHighWater)
 		}
-		if w.health != nil {
-			h := w.health.Health()
-			s.Health.GateOffered = h.GateOffered
-			s.Health.GateAdmitted = h.GateAdmitted
-			s.Health.ExplorationInserts = h.ExplorationInserts
-			s.Health.AdmittedMass = h.AdmittedMass
-			s.Health.RejectedMass = h.RejectedMass
-			s.Health.Tau = h.Tau
-			s.Health.DecayRenorms = h.DecayRenorms
-			s.Health.WaveGroups = h.WaveGroups
-			s.Health.WaveFallbackConflict = h.WaveFallbackConflict
-			s.Health.WaveFallbackExploration = h.WaveFallbackExploration
-			s.Health.WaveFallbackShape = h.WaveFallbackShape
+		h := w.eng.Health()
+		s.Health.GateOffered = h.GateOffered
+		s.Health.GateAdmitted = h.GateAdmitted
+		s.Health.ExplorationInserts = h.ExplorationInserts
+		s.Health.AdmittedMass = h.AdmittedMass
+		s.Health.RejectedMass = h.RejectedMass
+		s.Health.Tau = h.Tau
+		s.Health.DecayRenorms = h.DecayRenorms
+		s.Health.WaveGroups = h.WaveGroups
+		s.Health.WaveFallbackConflict = h.WaveFallbackConflict
+		s.Health.WaveFallbackExploration = h.WaveFallbackExploration
+		s.Health.WaveFallbackShape = h.WaveFallbackShape
+		if w.eng.Decaying() {
+			s.NEff = w.eng.EffectiveSamples()
 		}
-		if d, ok := w.eng.(sketchapi.Decayer); ok && d.Decaying() {
-			s.NEff = d.EffectiveSamples()
-		}
-		if w.folder != nil {
-			s.FoldLevel = w.folder.FoldLevel()
-			s.Health.Folds = w.folds
-			s.Health.Unfolds = w.unfolds
-		}
+		s.FoldLevel = w.eng.FoldLevel()
+		s.Health.Folds = w.folds
+		s.Health.Unfolds = w.unfolds
 		mu.Lock()
 		per[w.id] = s
 		mu.Unlock()

@@ -58,7 +58,7 @@ func TestShardedCSMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial, err := covstream.New(covstream.Config{
-		Dim: d, T: n, Engine: eng, Mode: covstream.SecondMoment, TrackCandidates: 1 << 14,
+		Dim: d, T: n, Engine: eng, TrackCandidates: 1 << 14,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestShardedASCSMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial, err := covstream.New(covstream.Config{
-		Dim: d, T: n, Engine: serialEng, Mode: covstream.SecondMoment, TrackCandidates: 1 << 14,
+		Dim: d, T: n, Engine: serialEng, TrackCandidates: 1 << 14,
 	})
 	if err != nil {
 		t.Fatal(err)

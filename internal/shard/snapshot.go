@@ -357,10 +357,9 @@ func gcStaleBlobs(dir string, keep uint64) {
 // manifest commit — the previous recovery point stays intact.
 //
 // A positive fold level streams the engine's sketch pre-folded to
-// that level (clamped per engine to its maximum) through the
-// sketchapi.FoldedWriter facet: up to 2^level× fewer sketch bytes on
-// disk, same header, same CRC discipline. Engines without the facet
-// snapshot at live resolution.
+// that level (clamped per engine to its maximum) through
+// WriteToFolded: up to 2^level× fewer sketch bytes on disk, same
+// header, same CRC discipline.
 func (w *worker) writeSnapshot(path string, fold int) (crc uint32, size int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -377,8 +376,8 @@ func (w *worker) writeSnapshot(path string, fold int) (crc uint32, size int64, e
 		f.Close()
 		return 0, 0, err
 	}
-	if fw, ok := w.eng.(sketchapi.FoldedWriter); ok && fold > 0 {
-		_, err = fw.WriteToFolded(cw, fold)
+	if fold > 0 {
+		_, err = w.eng.WriteToFolded(cw, fold)
 	} else {
 		_, err = w.eng.WriteTo(cw)
 	}
@@ -675,7 +674,7 @@ func readShard(path string, kind Kind, trackCap int) (*worker, error) {
 		lastT: int(binary.LittleEndian.Uint64(hdr[4:])),
 		ops:   binary.LittleEndian.Uint64(hdr[12:]),
 	}
-	var eng sketchapi.Snapshotter
+	var eng sketchapi.Engine
 	switch kind {
 	case KindCS:
 		eng, err = countsketch.ReadMeanSketchFrom(br)
@@ -692,9 +691,6 @@ func readShard(path string, kind Kind, trackCap int) (*worker, error) {
 		return nil, err
 	}
 	w.eng = eng
-	if w.row, err = rowEngine(eng); err != nil {
-		return nil, err
-	}
 	w.track, err = readTracker(br, trackCap)
 	if err != nil {
 		return nil, err

@@ -14,9 +14,9 @@ import (
 	"repro/internal/stream"
 )
 
-// Kind names a serving engine. Only engines that implement
-// sketchapi.Snapshotter are servable — crash recovery is part of the
-// serving contract — and all four engines now do.
+// Kind names a serving engine: one of the four implementations of
+// sketchapi.Engine, whose snapshot methods make crash recovery part of
+// the serving contract.
 type Kind string
 
 const (
@@ -143,29 +143,9 @@ func (sp EngineSpec) coldFilterLayers() (l1, l2 countsketch.Config, thresh float
 	return l1, l2, thresh
 }
 
-// The shard worker ingests through OfferPairs and reads top-k
-// candidates through EstimateKeys; rowEngine requires the RowOfferer
-// facet, which carries both, so every engine kind must be one.
-var (
-	_ sketchapi.RowOfferer = (*countsketch.MeanSketch)(nil)
-	_ sketchapi.RowOfferer = (*core.Engine)(nil)
-	_ sketchapi.RowOfferer = (*baselines.ASketch)(nil)
-	_ sketchapi.RowOfferer = (*baselines.ColdFilter)(nil)
-)
-
-// rowEngine returns eng's row path, failing worker construction (fresh,
-// restored from a snapshot, or recovered from the WAL) when it has none.
-func rowEngine(eng sketchapi.Snapshotter) (sketchapi.RowOfferer, error) {
-	r, ok := eng.(sketchapi.RowOfferer)
-	if !ok {
-		return nil, fmt.Errorf("shard: engine %T does not implement sketchapi.RowOfferer", eng)
-	}
-	return r, nil
-}
-
 // build constructs one engine from the spec: the fixed-horizon
 // constructor, or the decayed (unbounded) one when Lambda is set.
-func (sp EngineSpec) build() (sketchapi.Snapshotter, error) {
+func (sp EngineSpec) build() (sketchapi.Engine, error) {
 	switch sp.Kind {
 	case KindCS:
 		if sp.decaying() {
@@ -420,7 +400,7 @@ func AutoSpec(samples []stream.Sample, dim, shards, horizon int, sk countsketch.
 	}
 	warmCfg.Seed ^= 0x9c3
 	warm, err := covstream.Warmup(stream.NewSliceSource(samples, dim), len(samples),
-		warmCfg, covstream.SecondMoment, 0, int64(sk.Seed))
+		warmCfg, 0, int64(sk.Seed))
 	if err != nil {
 		return EngineSpec{}, err
 	}

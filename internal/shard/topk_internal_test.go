@@ -57,7 +57,7 @@ func TestLocalTopBatchMatchesScalar(t *testing.T) {
 			err = m.execAll(context.Background(), ConsistencyFresh, nil, func(w *worker) {
 				for _, level := range []int{0, 1} {
 					if level > 0 {
-						if err := w.folder.Fold(level); err != nil {
+						if err := w.eng.Fold(level); err != nil {
 							t.Error(err)
 							return
 						}
@@ -81,7 +81,7 @@ func TestLocalTopBatchMatchesScalar(t *testing.T) {
 						}
 					}
 				}
-				w.folder.Unfold()
+				w.eng.Unfold()
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 func setWaveGroup(t *testing.T, m *Manager, g int) {
 	t.Helper()
 	err := m.execAll(context.Background(), ConsistencyFresh, nil, func(w *worker) {
-		w.row.(sketchapi.WaveTuner).SetWaveGroup(g)
+		w.eng.SetWaveGroup(g)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestApplyLateStepsMatchesPerPair(t *testing.T) {
 								w.beginStep(h.t)
 							}
 							for i, p := range b.prt[o : o+h.n] {
-								est, _ := w.row.OfferEstimate(h.base+p, b.xs[o+i])
+								est, _ := w.eng.OfferEstimate(h.base+p, b.xs[o+i])
 								w.track.Offer(h.base+p, math.Abs(est))
 							}
 							o += h.n
@@ -458,13 +458,10 @@ func TestApplyZeroIncrementSkip(t *testing.T) {
 				}
 
 				// The reference: every pair offered, in route's order.
-				refs := make([]sketchapi.RowOfferer, 2)
+				refs := make([]sketchapi.Engine, 2)
 				for i := range refs {
-					eng, err := m.spec.build()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if refs[i], err = rowEngine(eng); err != nil {
+					var err error
+					if refs[i], err = m.spec.build(); err != nil {
 						t.Fatal(err)
 					}
 				}

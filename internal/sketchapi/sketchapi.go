@@ -1,8 +1,8 @@
-// Package sketchapi defines the minimal contract shared by all sketching
+// Package sketchapi defines the one contract shared by all sketching
 // engines in this repository: vanilla Count Sketch, ASCS, Augmented
-// Sketch, and Cold Filter. The covariance streaming layer drives any of
-// them interchangeably, which is how the paper's head-to-head comparisons
-// (§8) are orchestrated.
+// Sketch, and Cold Filter. The covariance streaming layer and the
+// serving shards drive any of them interchangeably, which is how the
+// paper's head-to-head comparisons (§8) are orchestrated.
 package sketchapi
 
 import (
@@ -11,142 +11,76 @@ import (
 	"math"
 )
 
-// Ingestor consumes a stream of (key, increment) observations indexed by
-// a time step t = 1..T and answers point estimates of the per-key mean.
+// Engine is the one contract every sketching engine in this repository
+// implements (CS MeanSketch, ASCS core.Engine, ASketch, Cold Filter).
+// It consumes a stream of (key, increment) observations indexed by a
+// time step t = 1..T and answers point estimates of the per-key mean.
 //
 // The contract mirrors the paper's setup: at each time t the stream
 // carries values X_i^{(t)} for a subset of keys i; engines internally
 // scale by 1/T so that the estimate for key i after step t equals
 // (t/T)·X̄_i^{(t)} and, at t = T, the estimated mean μ̂_i.
-type Ingestor interface {
+//
+// Ingest has three forms with one meaning: OfferPairs(keys, xs, ests)
+// leaves the engine in the bit-same state as len(keys) OfferEstimate
+// calls, which leave it as the same Offer calls would, at any split of
+// the offers into calls and at any wave group (internal/wavetest pins
+// this on every engine). The estimates it returns are bit-identical to
+// a following Estimate. Every method mutating the engine is single-
+// writer: callers serialize offers, steps, folds and wave tuning (the
+// shard workers own one engine per goroutine).
+type Engine interface {
 	// BeginStep announces the 1-based time step of the observations that
 	// follow. Steps must be non-decreasing. Engines use it to advance
-	// sampling thresholds (ASCS) or other schedules.
+	// sampling thresholds (ASCS) or other schedules, and in decay mode
+	// to age the tables.
 	BeginStep(t int)
 	// Offer presents the observation X_i^{(t)} = x for key i = key.
 	// Engines decide whether and how to absorb it.
 	Offer(key uint64, x float64)
+	// OfferEstimate is Offer plus the engine's post-offer estimate for
+	// the key, off one hash of the key, and whether the observation was
+	// absorbed (false only when an admission gate — the ASCS τ test —
+	// rejected it; engines without a gate always absorb).
+	OfferEstimate(key uint64, x float64) (est float64, admitted bool)
+	// OfferPairs is the batch form for one time step: it offers every
+	// (keys[i], xs[i]) in order through the engine's wave pipeline
+	// (group hashing → cell touch/prefetch → gather → gate/scatter).
+	// When ests is non-nil it must have len(keys) and is filled with the
+	// per-offer post-estimates, exactly as len(keys) OfferEstimate calls
+	// would produce them; nil skips the estimates (pure ingest).
+	OfferPairs(keys []uint64, xs []float64, ests []float64)
 	// Estimate returns the engine's current estimate of μ_i scaled by
 	// t/T (so it is the final-mean estimate once the stream completes).
 	Estimate(key uint64) float64
+	// EstimateKeys fills out[i] with Estimate(keys[i]) bit for bit
+	// (len(out) ≥ len(keys)), at every fold level and decay scale,
+	// batching the table reads through the wave stages. Only the wave
+	// scratch is written, and nothing is allocated once it exists.
+	EstimateKeys(keys []uint64, out []float64)
 	// Bytes reports the engine's approximate memory footprint.
 	Bytes() int
 	// Name identifies the engine in reports ("CS", "ASCS", ...).
 	Name() string
-}
 
-// OfferEstimator is the fused ingest fast path: every engine in this
-// repository hashes an offered key to the same table cells whether it is
-// gating (ASCS τ test, Cold Filter saturation test), inserting, or
-// answering the estimate the retrieval tracker scores candidates with —
-// so one locate can serve all three. The per-call contract is exact
-// equivalence: OfferEstimate(key, x) leaves the engine in the bit-same
-// state as Offer(key, x) and returns the bit-same value a subsequent
-// Estimate(key) would, while hashing the key once instead of up to three
-// times. All four engines (CS MeanSketch, ASCS core.Engine, ASketch,
-// ColdFilter) implement it; covstream and the serving shards' ingest
-// prefer it when present and fall back to Offer+Estimate otherwise, and
-// the shards' top-k read requires it.
-//
-// EstimateKeys is the matching batch read, which the serving shards
-// rescore their top-k candidates with. Its contract: out[i] equals
-// Estimate(keys[i]) bit for bit, at every fold level and decay scale;
-// the engine's state is unchanged (only its wave scratch is written,
-// so like the offers it is single-caller); and nothing is allocated
-// once the scratch exists.
-type OfferEstimator interface {
-	Ingestor
-	// OfferEstimate presents X_i^{(t)} = x for key i and returns the
-	// engine's post-offer estimate for the key, plus whether the
-	// observation was absorbed (false only when an admission gate — the
-	// ASCS τ test — rejected it; engines without a gate always absorb).
-	OfferEstimate(key uint64, x float64) (est float64, admitted bool)
-	// OfferPairs is the batch form for one time step: it offers every
-	// (keys[i], xs[i]) in order, amortizing interface dispatch and
-	// keeping the slot buffer hot. When ests is non-nil it must have
-	// len(keys) and is filled with the per-offer post-estimates, exactly
-	// as len(keys) OfferEstimate calls would produce them; nil skips the
-	// estimates (pure ingest).
-	OfferPairs(keys []uint64, xs []float64, ests []float64)
-	// EstimateKeys fills out[i] with Estimate(keys[i]) for every key
-	// (len(out) ≥ len(keys)), batching the table reads through the
-	// wave stages where the engine has them.
-	EstimateKeys(keys []uint64, out []float64)
-}
-
-// RowOfferer is the row-level ingest fast path: covariance streams
-// offer pairs row by row — a sample with nonzero features a < b₁ < b₂ …
-// contributes, for each row feature a, the pair keys rowBase(a) + b for
-// every later feature b — so the natural batch unit is the row (and the
-// whole sample), not the pair. A RowOfferer receives the shared row
-// base and the partner list once and expands the pair keys internally
-// (a vector add per group) straight into its wave pipeline, instead of
-// the caller enumerating keys into an intermediate pair buffer.
-//
-// The contract is exact equivalence: OfferRow(rowBase, partners, x,
-// ests) leaves the engine in the bit-same state as OfferPairs(keys, x,
-// ests) with keys[j] = rowBase + partners[j] (a wrapping uint64 add —
-// pairs.RowBase(0, d) is the two's complement of −1, and base+partner
-// wraps back to the intended pair index), and fills ests identically.
-// All four engines implement it; covstream and the shard workers prefer
-// it when present.
-type RowOfferer interface {
-	OfferEstimator
-	// OfferRow offers partner j of one row as the pair
-	// (rowBase+partners[j], x[j]), in order. x must have len(partners);
-	// ests is nil (pure ingest) or len(partners), filled with the
-	// per-offer post-estimates exactly as OfferEstimate would return
-	// them.
-	OfferRow(rowBase uint64, partners []uint64, x []float64, ests []float64)
-	// OfferRows offers one sample's whole upper triangle: for each row
-	// i in [0, len(ids)-1), every pair (bases[i]+ids[j], left[i]*right[j])
-	// for j in (i, len(ids)), in row-major order — equivalent to the
-	// corresponding OfferRow sequence with the caller's per-pair
-	// increments materialized as left[i]·right[j], but letting the
-	// engine pack wave groups across row boundaries so short rows do
-	// not drain the pipeline. bases[i] is the row base of ids[i] and is
-	// read only for i < len(ids)-1 (the last id is only ever a partner),
-	// so len(bases) and len(left) need only be len(ids)-1; right must
-	// have len(ids). ests is nil or holds m(m−1)/2 entries (m =
-	// len(ids)) in the same row-major pair order.
-	OfferRows(bases, ids []uint64, left, right []float64, ests []float64)
-}
-
-// WaveTuner exposes the group size G of an engine's wave-pipelined
-// OfferPairs path (staged group ingest: group hashing → cell
-// touch/prefetch → gather → gate/scatter; see countsketch.WaveGroup
-// for the G rationale). All four engines implement it. g ≤ 1 selects
-// the scalar per-pair loop — the wave path's differential reference,
-// and the "batch" arm of the ingest benchmarks. Both settings produce
-// bit-identical engine state and estimates; the knob trades
-// memory-level parallelism against scratch footprint only.
-//
-// SetWaveGroup is not safe for concurrent use with offers; set it
-// before ingest starts (the differential tests and benches do).
-type WaveTuner interface {
-	Ingestor
-	// SetWaveGroup sets the group size G (clamped to a sane maximum);
-	// g ≤ 1 disables grouping.
+	// SetWaveGroup sets the group size G of the wave-pipelined
+	// OfferPairs path (clamped to a sane maximum; see
+	// countsketch.WaveGroup for the G rationale); g ≤ 1 selects the
+	// scalar per-pair loop, the wave path's differential reference.
+	// Both settings produce bit-identical state and estimates. Set it
+	// before ingest starts.
 	SetWaveGroup(g int)
 	// WaveGroup returns the group size in force (1 = scalar).
 	WaveGroup() int
-}
 
-// Decayer is the unbounded-stream capability: an engine constructed in
-// exponential-decay mode ages every absorbed observation by a factor
-// λ ∈ (0,1] per time step, so the estimate for key i converges to the
-// λ-weighted mean Σ_k λ^{t−k}·X_i^{(k)} / N_eff(t) instead of the
-// fixed-horizon mean — the stream no longer needs a horizon T at all.
-// λ = 1 keeps the fixed-horizon arithmetic bit-for-bit (nothing ages)
-// while still declaring the engine unbounded, which is what lets the
-// differential tests pin the decay path against the classic one.
-//
-// All four engines implement Decayer; engines built by the classic
-// constructors report Decaying() == false and behave exactly as before.
-type Decayer interface {
-	Ingestor
 	// Decaying reports whether the engine runs in exponential-decay
-	// (unbounded-stream) mode.
+	// (unbounded-stream) mode: every absorbed observation ages by a
+	// factor λ ∈ (0,1] per step, so the estimate for key i converges to
+	// the λ-weighted mean Σ_k λ^{t−k}·X_i^{(k)} / N_eff(t) and the
+	// stream needs no horizon. λ = 1 keeps the fixed-horizon arithmetic
+	// bit for bit while declaring the engine unbounded, which is what
+	// lets the differential tests pin the decay path against the classic
+	// one. Engines built by the classic constructors report false.
 	Decaying() bool
 	// DecayFactor returns the per-step decay factor λ (1 when the engine
 	// is not decaying, or is unbounded with aging disabled).
@@ -156,6 +90,37 @@ type Decayer interface {
 	// from. It equals t exactly when λ = 1 (and in fixed-horizon mode)
 	// and saturates at the effective window W = 1/(1−λ) as t → ∞.
 	EffectiveSamples() float64
+
+	// Health returns the engine's telemetry snapshot (see Health). Call
+	// it from the goroutine that owns the engine.
+	Health() Health
+
+	// Fold compresses the tables in place by `levels` additional width
+	// halvings of the sign-composed linear fold map (countsketch.Fold),
+	// trading collision noise (variance doubles per level) for memory.
+	// It fails if the configured range does not divide by 2^levels more
+	// times (see MaxFoldLevels).
+	Fold(levels int) error
+	// Unfold re-expands to full resolution by value replication, with
+	// estimates bit-identical across the transition; no-op when already
+	// unfolded.
+	Unfold()
+	// FoldLevel returns the current fold level (0 = full resolution).
+	FoldLevel() int
+	// MaxFoldLevels returns the deepest absolute fold level supported by
+	// the engine's table geometry (for multi-table engines, the
+	// shallowest of the layers).
+	MaxFoldLevels() int
+
+	// WriteTo serializes the engine's full state (schedule position,
+	// counters, table contents) in a self-describing binary format for
+	// checkpoint/resume; the serving layer requires it for crash
+	// recovery.
+	WriteTo(w io.Writer) (int64, error)
+	// WriteToFolded serializes like WriteTo with the sketch tables folded
+	// to the given absolute level (clamped to MaxFoldLevels), without
+	// mutating the live tables — the pre-folded snapshot path.
+	WriteToFolded(w io.Writer, level int) (int64, error)
 }
 
 // AdvanceEffective advances an effective-sample count by `steps` decayed
@@ -243,7 +208,7 @@ func ValidateDecay(lambda float64) error {
 //
 // The struct is a plain value snapshot: engines own the underlying
 // counters single-writer on their ingest path (no atomics — the
-// Ingestor contract already serializes mutation) and Health() copies
+// Engine contract already serializes mutation) and Health() copies
 // them out. Callers needing a coherent read must call it from the
 // goroutine that owns the engine (the shard workers do).
 type Health struct {
@@ -269,62 +234,4 @@ type Health struct {
 	WaveFallbackConflict    uint64
 	WaveFallbackExploration uint64
 	WaveFallbackShape       uint64
-}
-
-// HealthReporter is implemented by engines that expose Health. All four
-// engines in this repository do; the serving layer publishes the
-// snapshot per shard and /metrics aggregates it.
-type HealthReporter interface {
-	Ingestor
-	Health() Health
-}
-
-// Snapshotter is an Ingestor whose full state (schedule position,
-// counters, table contents) can be serialized for checkpoint/resume.
-// All four engines (CS, ASCS, ASketch, Cold Filter) implement it, which
-// is what makes every engine servable: the serving layer
-// (internal/shard) requires it for crash recovery.
-type Snapshotter interface {
-	Ingestor
-	// WriteTo serializes the engine in a self-describing binary format.
-	WriteTo(w io.Writer) (int64, error)
-}
-
-// Folder is the elastic-memory capability: an engine whose sketch tables
-// can be compressed in place by the sign-composed linear fold map
-// (countsketch.Fold) and re-expanded by value replication. Folding
-// halves the table width per level, trading collision noise (variance
-// doubles per level) for memory; unfolding restores full-resolution
-// ingest with estimates bit-identical across the transition. All four
-// engines implement Folder; the serving layer uses it to fold idle
-// shards in place and to write pre-folded snapshots.
-//
-// Fold/Unfold are mutations and follow the Ingestor synchronization
-// contract (single writer); the shard workers call them only between
-// batches, so the ingest hot path never observes a mid-fold table.
-type Folder interface {
-	Ingestor
-	// Fold compresses the tables by `levels` additional width halvings.
-	// It fails if the configured range does not divide by 2^levels more
-	// times (see MaxFoldLevels).
-	Fold(levels int) error
-	// Unfold re-expands to full resolution by value replication; no-op
-	// when already unfolded.
-	Unfold()
-	// FoldLevel returns the current fold level (0 = full resolution).
-	FoldLevel() int
-	// MaxFoldLevels returns the deepest absolute fold level supported by
-	// the engine's table geometry (for multi-table engines, the
-	// shallowest of the layers).
-	MaxFoldLevels() int
-}
-
-// FoldedWriter is implemented by engines that can serialize their state
-// as if folded to a target level without mutating the live tables — the
-// pre-folded snapshot path. Engines clamp the level to MaxFoldLevels.
-type FoldedWriter interface {
-	Snapshotter
-	// WriteToFolded serializes like WriteTo with the sketch tables folded
-	// to the given absolute level.
-	WriteToFolded(w io.Writer, level int) (int64, error)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/hashing"
-	"repro/internal/sketchapi"
 	"repro/internal/topk"
 )
 
@@ -150,23 +149,22 @@ func TestEstimateKeysMatchesEstimate(t *testing.T) {
 			step := driveFrom(e, uint64(300+kind), 2500, 1)
 			if d.lambda != 0 && d.lambda != 1 {
 				step = driveFrom(e, uint64(400+kind), 500, step+renormGap)
-				if e.(sketchapi.HealthReporter).Health().DecayRenorms == 0 {
+				if e.Health().DecayRenorms == 0 {
 					t.Fatalf("%s: the step gap forced no renormalisation", label)
 				}
 			}
 			check("level0")
-			f := e.(sketchapi.Folder)
 			for level := 1; level <= 2; level++ {
-				if err := f.Fold(1); err != nil {
+				if err := e.Fold(1); err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("level%d", level))
 			}
-			f.Unfold()
+			e.Unfold()
 			check("unfolded")
 			driveFrom(e, uint64(500+kind), 400, step)
 			check("unfolded+ingest")
-			if err := f.Fold(2); err != nil {
+			if err := e.Fold(2); err != nil {
 				t.Fatal(err)
 			}
 			check("refolded")

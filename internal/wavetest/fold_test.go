@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/hashing"
-	"repro/internal/sketchapi"
 )
 
 // driveStream feeds a seed-derived stream of n offers into e, in
@@ -50,23 +49,19 @@ func TestFoldUnfoldPreservesEstimates(t *testing.T) {
 			e := buildEngine(t, kind, lambda)
 			driveStream(e, uint64(100+kind), 3000)
 
-			f, ok := e.(sketchapi.Folder)
-			if !ok {
-				t.Fatalf("kind %d does not implement sketchapi.Folder", kind)
-			}
-			if err := f.Fold(2); err != nil {
+			if err := e.Fold(2); err != nil {
 				t.Fatal(err)
 			}
-			if f.FoldLevel() != 2 {
-				t.Fatalf("kind %d λ=%v: FoldLevel = %d after Fold(2)", kind, lambda, f.FoldLevel())
+			if e.FoldLevel() != 2 {
+				t.Fatalf("kind %d λ=%v: FoldLevel = %d after Fold(2)", kind, lambda, e.FoldLevel())
 			}
 			folded := make([]float64, 600)
 			for key := range folded {
 				folded[key] = e.Estimate(uint64(key))
 			}
-			f.Unfold()
-			if f.FoldLevel() != 0 {
-				t.Fatalf("kind %d λ=%v: FoldLevel = %d after Unfold", kind, lambda, f.FoldLevel())
+			e.Unfold()
+			if e.FoldLevel() != 0 {
+				t.Fatalf("kind %d λ=%v: FoldLevel = %d after Unfold", kind, lambda, e.FoldLevel())
 			}
 			for key, want := range folded {
 				if got := e.Estimate(uint64(key)); got != want {
@@ -95,14 +90,10 @@ func TestFoldedWriteRoundTrip(t *testing.T) {
 			if _, err := e.WriteTo(&full); err != nil {
 				t.Fatal(err)
 			}
-			fw, ok := e.(sketchapi.FoldedWriter)
-			if !ok {
-				t.Fatalf("kind %d does not implement sketchapi.FoldedWriter", kind)
-			}
-			if _, err := fw.WriteToFolded(&folded, level); err != nil {
+			if _, err := e.WriteToFolded(&folded, level); err != nil {
 				t.Fatal(err)
 			}
-			if e.(sketchapi.Folder).FoldLevel() != 0 {
+			if e.FoldLevel() != 0 {
 				t.Fatalf("kind %d: WriteToFolded mutated the engine", kind)
 			}
 			if ratio := float64(full.Len()) / float64(folded.Len()); ratio < 2 {
@@ -111,11 +102,11 @@ func TestFoldedWriteRoundTrip(t *testing.T) {
 			}
 
 			// The restored folded engine serves the folded estimates.
-			if err := e.(sketchapi.Folder).Fold(level); err != nil {
+			if err := e.Fold(level); err != nil {
 				t.Fatal(err)
 			}
 			r := restoreEngine(t, kind, folded.Bytes())
-			if got := r.(sketchapi.Folder).FoldLevel(); got != level {
+			if got := r.FoldLevel(); got != level {
 				t.Fatalf("kind %d λ=%v: restored fold level %d, want %d", kind, lambda, got, level)
 			}
 			for key := uint64(0); key < 600; key++ {
@@ -151,10 +142,9 @@ func TestFoldAccuracyDegradesGracefully(t *testing.T) {
 			// variance, which is itself well under the signal energy.
 			scale := math.Sqrt(energy/float64(len(refEst))) + 1e-9
 
-			f := ref.(sketchapi.Folder)
 			prev := 0.0
 			for level := 1; level <= 3; level++ {
-				if err := f.Fold(1); err != nil {
+				if err := ref.Fold(1); err != nil {
 					t.Fatal(err)
 				}
 				var sum float64
@@ -197,20 +187,19 @@ func runFoldDifferential(t *testing.T, seed uint64, kind, levels, n int) {
 	}
 	plain := buildEngine(t, kind, 0)
 	detour := buildEngine(t, kind, 0)
-	f := detour.(sketchapi.Folder)
 	if levels < 1 {
 		levels = 1
 	}
-	if max := f.MaxFoldLevels(); levels > max {
+	if max := detour.MaxFoldLevels(); levels > max {
 		levels = max
 	}
 
 	driveStream(plain, seed, n)
 	driveStream(detour, seed, n)
-	if err := f.Fold(levels); err != nil {
+	if err := detour.Fold(levels); err != nil {
 		t.Fatal(err)
 	}
-	f.Unfold()
+	detour.Unfold()
 	driveStream(plain, seed+1, n/2)
 	driveStream(detour, seed+1, n/2)
 

@@ -17,14 +17,12 @@ import (
 	"repro/internal/sketchapi"
 )
 
-// engine bundles a Snapshotter with the fast-path interfaces the
-// harness needs (RowOfferer doubles as the compile-time pin that every
-// engine — including every restored engine — carries the row path).
+// engine is the one engine contract plus OfferRow, the row form the
+// benchmark ladder calls, which every engine — including every restored
+// engine — must keep (this fails to compile otherwise).
 type engine interface {
-	sketchapi.Snapshotter
-	sketchapi.OfferEstimator
-	sketchapi.RowOfferer
-	sketchapi.WaveTuner
+	sketchapi.Engine
+	OfferRow(rowBase uint64, partners []uint64, x []float64, ests []float64)
 }
 
 const fuzzT = 1 << 12

@@ -1,5 +1,5 @@
-// Row-path differentials: OfferRow/OfferRows must be bit-identical to
-// OfferPairs over caller-materialized keys on all four engines, at any
+// Row-path differentials: OfferRow must be bit-identical to OfferPairs
+// over caller-materialized keys on all four engines, at any
 // wave group size (including the scalar g=1 path), fixed-horizon and
 // decayed, and on engines restored from a snapshot mid-stream.
 package wavetest
@@ -16,8 +16,8 @@ import (
 
 // restoreEngine round-trips a snapshot through the kind's reader and
 // returns the reconstructed engine. The returned value must satisfy
-// the full engine interface — including RowOfferer — or this fails to
-// compile, which is the satellite's compile-time half.
+// the full engine interface — including OfferRow — or this fails to
+// compile.
 func restoreEngine(t *testing.T, kind int, data []byte) engine {
 	t.Helper()
 	r := bytes.NewReader(data)
@@ -122,80 +122,7 @@ func runRowDifferential(t *testing.T, seed uint64, kind, group int, lambda float
 	compareStates(t, "row vs pairs", pair, row)
 }
 
-// runRowsDifferential drives random upper triangles through OfferRows
-// on one engine and the materialized row-major pair expansion through a
-// single OfferPairs call on the twin, so wave-group packing across row
-// boundaries is identical by construction and must stay bit-identical.
-func runRowsDifferential(t *testing.T, seed uint64, kind, group int, lambda float64, samples int) {
-	kind = fuzzKind(kind)
-	if group < 1 {
-		group = 1
-	}
-	if group > 128 {
-		group = 128
-	}
-	if samples < 1 {
-		samples = 1
-	}
-	if samples > 200 {
-		samples = 200
-	}
-	pair := buildEngine(t, kind, lambda)
-	row := buildEngine(t, kind, lambda)
-	pair.SetWaveGroup(group)
-	row.SetWaveGroup(group)
-
-	sm := hashing.NewSplitMix64(seed)
-	var (
-		ids, bases, keys        []uint64
-		left, right, xs, pe, re []float64
-	)
-	step := 1
-	for s := 0; s < samples; s++ {
-		m := 2 + int(sm.Next()%24)
-		ids, right = ids[:0], right[:0]
-		for j := 0; j < m; j++ {
-			ids = append(ids, sm.Next()%80)
-			right = append(right, float64(int64(sm.Next()%2001)-1000)/7.0)
-		}
-		// Contract: bases and left need only m-1 entries.
-		bases, left = bases[:0], left[:0]
-		for i := 0; i+1 < m; i++ {
-			bases = append(bases, sm.Next()%300)
-			left = append(left, float64(int64(sm.Next()%2001)-1000)/9.0)
-		}
-		keys, xs = keys[:0], xs[:0]
-		for i := 0; i+1 < m; i++ {
-			for j := i + 1; j < m; j++ {
-				keys = append(keys, bases[i]+ids[j])
-				xs = append(xs, left[i]*right[j])
-			}
-		}
-		pair.BeginStep(step)
-		row.BeginStep(step)
-		var pd, rd []float64
-		if sm.Next()%2 == 0 {
-			pe = append(pe[:0], xs...)
-			re = append(re[:0], xs...)
-			pd, rd = pe, re
-		}
-		pair.OfferPairs(keys, xs, pd)
-		row.OfferRows(bases, ids, left, right, rd)
-		if pd != nil {
-			for i := range pd {
-				if pd[i] != rd[i] {
-					t.Fatalf("kind=%d λ=%v g=%d sample=%d: est[%d] pairs %v != rows %v",
-						kind, lambda, group, s, i, pd[i], rd[i])
-				}
-			}
-		}
-		step += 1 + int(sm.Next()%3)
-	}
-	compareStates(t, "rows vs pairs", pair, row)
-}
-
-// FuzzRowVsPairs fuzzes both row entry points against materialized
-// OfferPairs across kinds, group sizes (incl. scalar) and decay modes.
+// FuzzRowVsPairs fuzzes OfferRow against materialized OfferPairs across kinds, group sizes (incl. scalar) and decay modes.
 func FuzzRowVsPairs(f *testing.F) {
 	f.Add(uint64(1), 0, 32, uint8(0), 60)
 	f.Add(uint64(2), 1, 1, uint8(1), 60)
@@ -205,7 +132,6 @@ func FuzzRowVsPairs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, kind, group int, decaySel uint8, n int) {
 		lambdas := []float64{0, 1, 0.999, 0.95}
 		runRowDifferential(t, seed, kind, group, lambdas[decaySel%4], n)
-		runRowsDifferential(t, seed^0x5bd1e995, kind, group, lambdas[decaySel%4], n/2+1)
 	})
 }
 
@@ -216,7 +142,6 @@ func TestRowVsPairsSeeded(t *testing.T) {
 		for _, lambda := range []float64{0, 1, 0.999, 0.95} {
 			for _, g := range []int{1, 2, 32} {
 				runRowDifferential(t, uint64(2000+kind), kind, g, lambda, 200)
-				runRowsDifferential(t, uint64(3000+kind), kind, g, lambda, 80)
 			}
 		}
 	}

@@ -121,21 +121,6 @@ func (m *MeanSketch) OfferRow(rowBase uint64, partners []uint64, xs []float64, e
 	m.cs.OfferRow(rowBase, partners, xs, ests)
 }
 
-// OfferRows offers one sample's whole upper triangle: for each row i,
-// every pair (bases[i]+ids[j], left[i]·right[j]) for j > i in row-major
-// order, packing wave groups across row boundaries so short rows do not
-// drain the pipeline. bases and left need only len(ids)−1 entries;
-// right needs len(ids); ests is nil or m(m−1)/2 entries (m = len(ids))
-// in the same order. This is the preferred ingest call for covariance
-// streams — one call per sample, no caller-side pair enumeration.
-func (m *MeanSketch) OfferRows(bases, ids []uint64, left, right []float64, ests []float64) {
-	if m.eng != nil {
-		m.eng.OfferRows(bases, ids, left, right, ests)
-		return
-	}
-	m.cs.OfferRows(bases, ids, left, right, ests)
-}
-
 // SetWaveGroup sets the group size G of the wave-pipelined OfferPairs
 // path of the underlying engine (g ≤ 1 selects the scalar per-pair
 // loop; the default is the tuned group of internal/countsketch). State
