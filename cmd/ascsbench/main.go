@@ -268,8 +268,8 @@ func main() {
 			"is included — they must track their fixed arms within noise at 0 allocs/pair; " +
 			"range_sweep compares batch vs wave from cache-resident to DRAM-resident " +
 			"tables (working set scaled with the range) — the miss-bound regime is where the wave " +
-			"pipeline's overlapped loads pay; group hashing runs the vectorized slot-fill kernel " +
-			"when env.cpu_features lists avx2",
+			"pipeline's overlapped loads pay; group hashing runs the AVX2 slot-fill kernel " +
+			"when env.cpu_features lists avx2, and the AVX-512 one when it also lists avx512f and avx512dq",
 	}
 	report.Env.CPUModel, report.Env.CPUCache = readCPUInfo()
 	report.Env.Caches = readSysCaches()

@@ -311,7 +311,7 @@ func (e *Engine) offerWave(w *countsketch.Wave, keys []uint64, xs []float64, est
 	// any insert — exact, because the screen proved the group touches
 	// pairwise-disjoint cells.
 	gests, raws := w.Ests(n), w.Raws(n)
-	e.sk.EstimateSlotsBatch(slots, gests, raws)
+	e.sk.EstimateSlotsBatch(w, slots, gests, raws)
 	// Stage 4: τ decisions, then scatter the admitted inserts.
 	vs, admit := w.Vs(n), w.Admit(n)
 	admitted := 0

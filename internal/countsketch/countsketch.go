@@ -611,6 +611,48 @@ func median5(a, b, c, d, e float64) float64 {
 	return m
 }
 
+// gatherRows5 writes the signed cells of a located K = 5 group into
+// rows table-major: rows[e·n+i] = cells[slots[5i+e].Off]·slots[5i+e].Sign
+// for n = len(rows)/5 members, the products median5Slots reads.
+func gatherRows5(cells []float64, slots []Slot, rows []float64) {
+	n := len(rows) / 5
+	r0, r1, r2, r3, r4 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n], rows[4*n:5*n]
+	slots = slots[:5*n]
+	for i := range r0 {
+		sl := slots[5*i : 5*i+5]
+		r0[i] = cells[sl[0].Off] * sl[0].Sign
+		r1[i] = cells[sl[1].Off] * sl[1].Sign
+		r2[i] = cells[sl[2].Off] * sl[2].Sign
+		r3[i] = cells[sl[3].Off] * sl[3].Sign
+		r4[i] = cells[sl[4].Off] * sl[4].Sign
+	}
+}
+
+// median5Rows sets out[i] to median5 of lane i of five table-major rows
+// (rows[e·n+i], n = len(out), len(rows) = 5n), bit for bit. Where the
+// AVX2 kernel is armed it takes the lanes four at a time (median_amd64.s
+// gives its exactness argument) and median5 recomputes only the lanes
+// it flags, those with a NaN input or a zero median, plus the ≤ 3 tail
+// lanes.
+func median5Rows(rows []float64, out []float64) {
+	n := len(out)
+	rows = rows[:5*n]
+	i := 0
+	if vecMedian5 && n >= 4 {
+		i = n &^ 3
+		if median5RowsAVX2(rows, n, out[:i]) {
+			for j := 0; j < i; j++ {
+				if out[j] != out[j] {
+					out[j] = median5(rows[j], rows[n+j], rows[2*n+j], rows[3*n+j], rows[4*n+j])
+				}
+			}
+		}
+	}
+	for ; i < n; i++ {
+		out[i] = median5(rows[i], rows[n+i], rows[2*n+i], rows[3*n+i], rows[4*n+i])
+	}
+}
+
 // medianInPlace sorts the small slice xs and returns its median.
 func medianInPlace(xs []float64) float64 {
 	n := len(xs)

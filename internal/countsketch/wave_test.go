@@ -61,7 +61,7 @@ func TestEstimateSlotsBatchMatchesWithRaw(t *testing.T) {
 			s.LocateBatch(group, slots)
 			ests := make([]float64, len(group))
 			raws := make([]float64, len(group))
-			s.EstimateSlotsBatch(slots, ests, raws)
+			s.EstimateSlotsBatch(NewWave(tables, len(group)), slots, ests, raws)
 			var one [MaxTables]Slot
 			for i, key := range group {
 				s.Locate(key, &one)
@@ -107,7 +107,7 @@ func TestAddSlotsBatchMatchesScalar(t *testing.T) {
 			}
 			ests := make([]float64, len(keys))
 			raws := make([]float64, len(keys))
-			a.EstimateSlotsBatch(slots, ests, raws)
+			a.EstimateSlotsBatch(w, slots, ests, raws)
 			admit := make([]bool, len(keys))
 			vs := make([]float64, len(keys))
 			for i := range keys {

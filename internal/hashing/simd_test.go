@@ -13,15 +13,16 @@ func fillGoRef(f *mixFamily, keys []uint64) []Slot {
 }
 
 // TestMixFillSlotsBatchMatchesReference compares the dispatched
-// FillSlotsBatch (the AVX2 kernel on capable amd64 hosts, the portable
-// loop elsewhere and under -tags purego) against the pure-Go reference
-// across table counts, ranges (including non-powers of two and one past
-// the 2^32 vector-fastRange guard), and batch lengths that exercise the
-// quad loop plus every tail size.
+// FillSlotsBatch (AVX-512 8-key blocks, then AVX2 quads, on capable
+// amd64 hosts; the portable loop elsewhere and under -tags purego)
+// against the pure-Go reference across table counts, ranges (including
+// non-powers of two and the largest range below the 2^32
+// vector-fastRange guard), and batch lengths that exercise the block
+// and quad loops plus every tail size.
 func TestMixFillSlotsBatchMatchesReference(t *testing.T) {
-	t.Logf("cpu features: avx2=%v bmi2=%v", cpuAVX2, cpuBMI2)
+	t.Logf("cpu features: avx2=%v avx512=%v bmi2=%v", cpuAVX2, cpuAVX512, cpuBMI2)
 	sm := NewSplitMix64(0xfeedface)
-	ranges := []int{1, 2, 7, 256, 1 << 14, 1<<31 - 1}
+	ranges := []int{1, 2, 7, 256, 1 << 14, 200000, 1<<31 - 1, 1<<32 - 1}
 	for _, k := range []int{1, 2, 3, 5, 8, 11} {
 		for _, r := range ranges {
 			f := newMixFamily(k, r, sm.Next())
@@ -80,6 +81,7 @@ func FuzzMixFillSlotsBatch(f *testing.F) {
 	f.Add(uint64(1), uint64(99), 5, 1<<14)
 	f.Add(uint64(0), uint64(0), 1, 1)
 	f.Add(^uint64(0), uint64(7), 8, 3)
+	f.Add(uint64(42), uint64(3), 8, 200000)
 	f.Fuzz(func(t *testing.T, seed, keyseed uint64, k, r int) {
 		k = 1 + abs(k)%MaxTables
 		r = 1 + abs(r)%(1<<20)

@@ -20,8 +20,8 @@
 // << 32). fastRange exploits R < 2^32 (the Go dispatcher guarantees
 // it): hi64(h·R) = (hhi·R + (hlo·R >> 32)) >> 32 with two VPMULUDQ —
 // exact, since hhi·R + (hlo·R >> 32) < 2^64. The ±1.0 sign needs no
-// blend: ∓1.0 differ only in the IEEE sign bit, so
-// sign = 0x3FF0000000000000 | ((bit62^... (h&1)^1) << 63).
+// blend: ±1.0 differ only in the IEEE sign bit, so
+// sign = 0x3FF0000000000000 | (((s & 1) ^ 1) << 63).
 //
 // len(keys) must be a nonzero multiple of 4 and K = len(bseeds) ≥ 1.
 
@@ -141,5 +141,109 @@ tableloop:
 	JNZ  quadloop
 
 done:
+	VZEROUPPER
+	RET
+
+// mixFillSlotsAVX512 — the AVX-512 kernel of the same slot fill: eight
+// keys per iteration in ZMM registers, tables in the inner loop, and
+// the contract above unchanged. AVX-512DQ's VPMULLQ is a native 64-bit
+// low multiply, so Mix64's two multiplies and key*signSeed are one
+// instruction each instead of three VPMULUDQ partials; fastRange and
+// the ±1.0 sign are built exactly as in the AVX2 kernel (R < 2^32).
+//
+// len(keys) must be a nonzero multiple of 8 and K = len(bseeds) ≥ 1.
+// Requires AVX512F+DQ with the OS saving the opmask/ZMM state (the Go
+// dispatcher checks CPUID and XCR0).
+
+// MIX64Z: v = Mix64(v) on eight lanes. Clobbers t; uses the constant
+// registers Z31 (first multiplier) and Z30 (second).
+#define MIX64Z(v, t) \
+	VPSRLQ  $30, v, t \
+	VPXORQ  t, v, v   \
+	VPMULLQ Z31, v, v \
+	VPSRLQ  $27, v, t \
+	VPXORQ  t, v, v   \
+	VPMULLQ Z30, v, v \
+	VPSRLQ  $31, v, t \
+	VPXORQ  t, v, v
+
+// func mixFillSlotsAVX512(keys []uint64, slots []Slot, bseeds, sseeds []uint64, rng uint64)
+TEXT ·mixFillSlotsAVX512(SB), NOSPLIT, $0-104
+	MOVQ keys_base+0(FP), SI
+	MOVQ keys_len+8(FP), CX
+	SHRQ $3, CX                   // key octets
+	JZ   done512
+	MOVQ slots_base+24(FP), R12   // slot cursor of the octet's first key
+	MOVQ bseeds_base+48(FP), R8
+	MOVQ bseeds_len+56(FP), R10   // K
+	MOVQ sseeds_base+72(FP), R9
+	MOVQ R10, R11
+	SHLQ $4, R11                  // K*16 = one key's slot stride in bytes
+	LEAQ (R11)(R11*2), BX         // 3 strides
+
+	// Constant registers for the whole call.
+	MOVQ         rng+96(FP), AX
+	VPBROADCASTQ AX, Z29                   // R
+	VPBROADCASTQ mixconsts<>+0(SB), Z31    // Mix64 multiplier 1
+	VPBROADCASTQ mixconsts<>+16(SB), Z30   // Mix64 multiplier 2
+	VPBROADCASTQ mixconsts<>+32(SB), Z27   // +1.0
+	VPBROADCASTQ mixconsts<>+40(SB), Z28   // 1
+
+octloop:
+	VMOVDQU64 (SI), Z8            // 8 keys
+	VPXORQ    Z7, Z7, Z7          // off accumulator e*R, starts 0
+	MOVQ      R12, R13            // store cursor, keys 0..3 of the octet
+	LEAQ      (R12)(R11*4), R14   // store cursor, keys 4..7
+	XORQ      R15, R15            // table index e
+
+tableloop512:
+	// Bucket hash: h = Mix64(key ^ bs[e]); off = e*R + hi64(h*R).
+	VPBROADCASTQ (R8)(R15*8), Z0  // bs
+	VPXORQ       Z0, Z8, Z1
+	MIX64Z(Z1, Z2)
+	VPSRLQ   $32, Z1, Z2
+	VPMULUDQ Z29, Z2, Z2          // hhi·R
+	VPMULUDQ Z29, Z1, Z3          // hlo·R
+	VPSRLQ   $32, Z3, Z3
+	VPADDQ   Z3, Z2, Z2
+	VPSRLQ   $32, Z2, Z2          // bucket
+	VPADDQ   Z7, Z2, Z2           // off = e*R + bucket
+
+	// Sign hash: s = Mix64(key*ss[e] + bs[e]).
+	VPBROADCASTQ (R9)(R15*8), Z1  // ss
+	VPMULLQ      Z1, Z8, Z4       // key*ss
+	VPADDQ       Z0, Z4, Z4       // + bs
+	MIX64Z(Z4, Z5)
+	VPANDQ Z28, Z4, Z4            // parity bit
+	VPXORQ Z28, Z4, Z4            // 0 if odd (+1.0), 1 if even (−1.0)
+	VPSLLQ $63, Z4, Z4
+	VPORQ  Z27, Z4, Z4            // ±1.0
+
+	// Interleave {off, sign} per key and store the eight 16-byte slots
+	// (stride K*16 between consecutive keys' slot rows).
+	VPUNPCKLQDQ   Z4, Z2, Z1      // [off0 s0 | off2 s2 | off4 s4 | off6 s6]
+	VPUNPCKHQDQ   Z4, Z2, Z3      // [off1 s1 | off3 s3 | off5 s5 | off7 s7]
+	VMOVDQU       X1, (R13)
+	VMOVDQU       X3, (R13)(R11*1)
+	VEXTRACTI32X4 $1, Z1, (R13)(R11*2)
+	VEXTRACTI32X4 $1, Z3, (R13)(BX*1)
+	VEXTRACTI32X4 $2, Z1, (R14)
+	VEXTRACTI32X4 $2, Z3, (R14)(R11*1)
+	VEXTRACTI32X4 $3, Z1, (R14)(R11*2)
+	VEXTRACTI32X4 $3, Z3, (R14)(BX*1)
+
+	VPADDQ Z29, Z7, Z7            // e*R += R
+	ADDQ   $16, R13
+	ADDQ   $16, R14
+	INCQ   R15
+	CMPQ   R15, R10
+	JLT    tableloop512
+
+	ADDQ $64, SI
+	LEAQ (R12)(R11*8), R12        // next octet's slot rows
+	DECQ CX
+	JNZ  octloop
+
+done512:
 	VZEROUPPER
 	RET

@@ -84,8 +84,7 @@ func TestPlantedPairRecall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The warm-up completes on the call that fills it, and fits over
-		// everything that call buffered: send the prefix alone.
+		// The warm-up fits over exactly the first warmup samples.
 		if _, _, err := m.Ingest(samples[:warmup]); err != nil {
 			t.Fatal(err)
 		}

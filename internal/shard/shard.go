@@ -1149,10 +1149,11 @@ func (m *Manager) awaitReplay() {
 const replayChunk = 256
 
 // ingestWarming buffers samples (called with mu held; releases it):
-// crossing the warm-up threshold derives the engine spec, starts the
-// workers, and replays the buffered prefix as steps 1..len(buf) in
-// bounded chunks with mu released, so queries are served during the
-// replay instead of stalling behind it.
+// crossing the warm-up threshold derives the engine spec from the first
+// Warmup buffered samples, starts the workers, and replays the whole
+// buffer (the completing call's overshoot included) as steps
+// 1..len(buf) in bounded chunks with mu released, so queries are served
+// during the replay instead of stalling behind it.
 func (m *Manager) ingestWarming(samples []stream.Sample) (first, last int, err error) {
 	if !m.cfg.Engine.decaying() && len(m.wbuf)+len(samples) > m.cfg.Engine.T {
 		m.mu.Unlock()

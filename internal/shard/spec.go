@@ -422,7 +422,11 @@ func AutoSpec(samples []stream.Sample, dim, shards, horizon int, sk countsketch.
 // spec (and standardization factors when requested). Called under mu.
 func (m *Manager) deriveSpec() (EngineSpec, []float64, error) {
 	var invStd []float64
-	samples := m.wbuf
+	// Fit over exactly Warmup samples: the call that completes the
+	// warm-up may carry more, and those are replayed as ordinary prefix
+	// steps, so the scales and the schedule do not depend on how the
+	// client split its requests.
+	samples := m.wbuf[:m.cfg.Warmup]
 	if m.cfg.Standardize {
 		st, err := stream.NewStandardizer(stream.NewSliceSource(samples, m.cfg.Dim), len(samples), false)
 		if err != nil {
